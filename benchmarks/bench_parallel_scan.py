@@ -1,8 +1,9 @@
-"""Parallel partitioned scan A/B: worker pool vs the serial kernel.
+"""Parallel partitioned scan A/B: worker pool vs the inline loop.
 
 Not a paper figure — this benchmark guards the parallel scan executor.
 The same 100k-row Agrawal frontier as ``bench_scan_kernel.py`` is
-counted through the real middleware once with the serial kernel and
+counted through the real middleware once with the inline one-worker
+counting loop (the columnar loop on the calling thread, no pool) and
 once per worker count (1/2/4/8), flipping only ``config.scan_workers``
 (and using the process pool by default, since routing is CPU-bound
 Python where threads only interleave under the GIL).
@@ -16,7 +17,7 @@ pool) and each profile records the per-stage wall-clock breakdown —
 ``ship_seconds`` / ``count_seconds`` / ``merge_seconds`` — so a
 regression shows *where* the time went, not just that it went.  On a
 machine with >= 4 usable cores, the 4-worker process-pool run must
-reach ``MIN_PARALLEL_SPEEDUP`` x the serial kernel's rows/sec and the
+reach ``MIN_PARALLEL_SPEEDUP`` x the inline loop's rows/sec and the
 benchmark **exits non-zero** below the floor; on smaller machines the
 floor is recorded as skipped with a ``skip_reason`` (a 1-core box
 cannot physically show parallel speedup).
@@ -76,14 +77,14 @@ from repro.datagen.agrawal import AgrawalConfig, agrawal_spec, generate_agrawal_
 from repro.datagen.loader import load_dataset
 from repro.sqlengine.database import SQLServer
 
-#: Required parallel/serial throughput at 4 workers (full runs on
+#: Required parallel/inline throughput at 4 workers (full runs on
 #: machines with >= MIN_CORES usable cores only).
 MIN_PARALLEL_SPEEDUP = 2.0
 #: Cores needed before the speedup floor is enforced.
 MIN_CORES = 4
 #: Rows in the full-size run; ``--smoke`` shrinks this.
 DEFAULT_ROWS = 100_000
-#: Worker counts A/B'd against the serial kernel.
+#: Worker counts A/B'd against the inline one-worker loop.
 DEFAULT_WORKER_COUNTS = (1, 2, 4, 8)
 #: Scan levels in the columnar-cache fit (root + frontier passes).
 CACHE_FIT_LEVELS = 4
@@ -102,11 +103,12 @@ def _usable_cores():
 def scan_frontier(spec, rows, frontier, workers, pool):
     """Count the frontier through the middleware; best-of-N profile.
 
-    ``workers=0`` means the serial kernel (``scan_workers=1``).  As in
-    the kernel A/B, the root data set is committed straight into
-    middleware memory so measured wall time is routing + counting +
-    (for parallel runs) partition shipping and CC-partial merging —
-    the true cost of the parallel path, not just its kernels.
+    ``workers=0`` is the inline baseline (``scan_workers=1``: the
+    columnar loop on the calling thread).  As in the kernel A/B, the
+    root data set is committed straight into middleware memory so
+    measured wall time is routing + counting + (for parallel runs)
+    partition shipping and CC-partial merging — the true cost of the
+    parallel path, not just its kernels.
     """
     server = SQLServer()
     load_dataset(server, "data", spec, rows)
@@ -148,7 +150,7 @@ def scan_frontier(spec, rows, frontier, workers, pool):
                 "ship_seconds": ship,
                 "count_seconds": count,
                 "merge_seconds": merge,
-                "columnar": columnar and workers > 0,
+                "columnar": columnar,
                 "partition_rows": partition_rows,
                 "prefetch_peak": prefetch_peak,
             }
@@ -302,7 +304,7 @@ def check_equivalence(frontier, results_by_label):
 
 def run_ab(n_rows=DEFAULT_ROWS, pool="process",
            worker_counts=DEFAULT_WORKER_COUNTS):
-    """A/B the worker ladder against the serial kernel."""
+    """A/B the worker ladder against the inline one-worker loop."""
     spec = agrawal_spec()
     rows = list(generate_agrawal_rows(AgrawalConfig(n_rows=n_rows, seed=3)))
     frontier = build_frontier(spec, rows)
@@ -341,7 +343,7 @@ def report(comparison):
     ladder = comparison["ladder"]
     rows = [
         [
-            "serial kernel",
+            "inline (1 worker)",
             f"{comparison['serial']['rows_per_sec']:,.0f}",
             f"{comparison['serial']['wall_seconds']:.4f}",
             "-",

@@ -116,20 +116,21 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="directory for staging files (default: a "
                           "private temp directory)")
     fit.add_argument("--no-scan-kernel", action="store_true",
-                     help="route rows with the reference per-row "
-                          "matcher loop instead of the compiled kernel")
+                     help="count with the reference per-row matcher "
+                          "loop instead of the columnar counting loop")
     fit.add_argument("--scan-chunk-rows", type=int, default=1024,
-                     help="rows per scan chunk for buffered staging I/O")
+                     help="rows per scan chunk (inline scans count "
+                          "partitions of 8 chunks)")
     fit.add_argument("--scan-workers", type=int, default=None,
                      help="worker tasks per scan (default: "
-                          "$REPRO_SCAN_WORKERS or 1 = serial)")
+                          "$REPRO_SCAN_WORKERS or 1 = inline)")
     fit.add_argument("--scan-pool", choices=("thread", "process"),
                      default=None,
                      help="worker pool kind for parallel scans "
                           "(default: thread)")
     fit.add_argument("--scan-parallel-min-rows", type=int, default=None,
-                     help="scans under this many source rows stay "
-                          "serial (default: 2048)")
+                     help="scans under this many source rows are "
+                          "counted inline on one worker (default: 2048)")
     fit.add_argument("--scan-prefetch-partitions", type=int, default=None,
                      help="SERVER-cursor partitions a producer thread "
                           "pulls ahead of the workers (default: 2; "

@@ -78,16 +78,18 @@ class MiddlewareConfig:
     aux_free_build: bool = False
     #: Directory for staging files (None = private temp directory).
     staging_dir: str | None = None
-    #: Route rows through the compiled attribute-indexed scan kernel.
-    #: False selects the reference per-row matcher loop — the two are
-    #: equivalence-tested, so this is an A/B switch, not a feature gate.
+    #: Count scans with the columnar counting loop (the compiled
+    #: routing kernel over partitions).  False selects the reference
+    #: per-row matcher loop — the two are equivalence-tested, so this
+    #: is an A/B switch, not a feature gate.
     scan_kernel: bool = True
-    #: Rows per scan chunk: staging writes and memory capture are
-    #: buffered and flushed at this granularity.
+    #: Rows per scan chunk: inline (one-worker) scans count partitions
+    #: of eight chunks, and pooled partitions are never smaller than
+    #: one.
     scan_chunk_rows: int = 1024
     #: Worker tasks per scan.  1 (the default, overridable through
-    #: ``$REPRO_SCAN_WORKERS``) keeps the serial loops; >1 partitions
-    #: the row source and counts private per-node CC partials in a
+    #: ``$REPRO_SCAN_WORKERS``) counts every partition inline on the
+    #: calling thread; >1 counts private per-node CC partials in a
     #: worker pool, merging them afterwards — CC tables are additive,
     #: so partial counts over disjoint partitions merge exactly.
     scan_workers: int = field(default_factory=_default_scan_workers)
@@ -96,9 +98,9 @@ class MiddlewareConfig:
     #: "process" pays serialization to escape the GIL on CPU-bound
     #: routing workloads.
     scan_pool: str = "thread"
-    #: Scans over fewer source rows than this stay serial even when
-    #: ``scan_workers`` > 1 — pool startup and merge overhead dominate
-    #: tiny scans.
+    #: Scans over fewer source rows than this are counted inline on
+    #: one worker even when ``scan_workers`` > 1 — pool startup and
+    #: merge overhead dominate tiny scans.
     scan_parallel_min_rows: int = 2048
     #: Reuse one :class:`~repro.core.scan_pool.ScanWorkerPool` across
     #: every parallel scan of a middleware session (created lazily on
@@ -116,11 +118,10 @@ class MiddlewareConfig:
     #: bounded queue (multi-file staged scans only).  False funnels all
     #: staging output through the single pipelined writer thread.
     scan_split_writers: bool = True
-    #: Count parallel scans over array-backed columnar partitions with
-    #: the vectorized kernel (requires numpy; falls back to row tuples
-    #: when numpy is missing or the batch exceeds the mask width).
-    #: False forces the row-tuple parallel path — the equivalence
-    #: baseline the columnar path is tested against.
+    #: Count scans over array-backed columnar partitions with the
+    #: vectorized kernel (falls back to row tuples when the batch
+    #: exceeds the mask width).  False forces row-tuple partitions —
+    #: the equivalence baseline the columnar path is tested against.
     scan_columnar: bool = True
     #: Ship columnar partitions to *process* workers through
     #: ``multiprocessing.shared_memory`` segments (one copy; only the

@@ -10,56 +10,58 @@ The same scan also performs the staging the scheduler planned: rows
 routed to a stage-target node are appended to its new middleware file
 and/or collected for middleware memory.
 
-Two scan loops implement the routing:
+One counting loop does the routing, with a reference oracle beside
+it:
 
-* the **kernel** loop (default) compiles the batch's path conditions
-  into a :class:`~repro.core.filters.RoutingKernel` — one dict probe
-  per constrained attribute instead of one closure call per node — and
-  processes rows in configurable chunks so staging writes and memory
-  capture are flushed in blocks;
-* the **per-row** loop is the reference implementation: every node's
-  matcher closure is evaluated against every row.  It is kept as the
-  equivalence baseline behind ``config.scan_kernel = False``.
+* the **counting loop** (default) cuts the source into ordered
+  :class:`~repro.sqlengine.columnar.ColumnarPartition` column arrays,
+  encoded once at the source, routes each through the batch's
+  compiled :class:`~repro.core.filters.RoutingKernel` as vectorized
+  candidate masks, and folds per-node count blocks into the CC
+  tables (batches wider than the masks count row-tuple partitions);
+* the **per-row** loop is the reference oracle: every node's matcher
+  closure is evaluated against every row (``config.scan_kernel =
+  False``).
 
-When ``config.scan_workers`` > 1 (and the source is large enough),
-the kernel loop runs **partitioned**: the row source is cut into
-ordered partitions, a persistent
-:class:`~repro.core.scan_pool.ScanWorkerPool` (threads by default,
-processes via ``config.scan_pool``; owned by the middleware session
-and reused across scans) routes each partition through the same
-compiled kernel into *private* per-node CC partials, and the
-coordinator merges the partials into the real CC tables — CC tables
-are additive count structures, so partial counts over disjoint
-partitions merge exactly.  SERVER-mode scans overlap row production
-with counting through a bounded prefetch thread
-(``config.scan_prefetch_partitions``).  Staged rows are applied in
-partition order by a :class:`~repro.core.staging.PipelinedStagingWriter`
-(single funnel) or, for multi-file split scans, a
-:class:`~repro.core.staging.ParallelStagingWriter` with one thread per
-output file — either way staged files stay bit-identical to a serial
-scan's.  Memory overflow (below) is detected on the *merged* sizes in
-batch order, so recovery decisions are deterministic for any worker
-count.
+At one worker (``config.scan_workers`` = 1, or a scan under
+``config.scan_parallel_min_rows``) the loop runs **inline** on the
+calling thread — bounded partitions counted and folded one at a time,
+staged rows appended directly, no pool and no helper thread.  With
+more workers it fans out to the session's persistent
+:class:`~repro.core.scan_pool.ScanWorkerPool`, which counts
+partitions into *private* partials that the coordinator merges in
+partition order (CC tables are additive, so disjoint partials merge
+exactly); pooled SERVER scans prefetch on a bounded producer thread,
+staged rows go through a threaded staging writer, and large scans may
+count over the table-version columnar cache.  Staged files come out
+bit-identical for any worker count.
 
 Every scan records profiling counters on :class:`ScanStats` — wall
 time, rows/sec, matcher-evaluation counts, which loop ran, worker
 count and merge time — which the middleware copies onto the session
 trace.
 
-Runtime memory errors are handled as in Section 4.1.1.  When a node's
-CC table outgrows what can be reserved there are two recoveries:
+Runtime memory errors are handled as in Section 4.1.1.  The counting
+loop counts unconditionally and admits each node's *merged* CC size
+against the budget afterwards, in batch order, so recovery decisions —
+and with them the fit's metered cost — do not depend on worker count
+or partitioning.  When a node's CC table outgrows what can be reserved
+there are two recoveries:
 
 * **deferral** — if the node shares the scan with other *surviving*
   nodes, it is simply counted on a *later* scan (the "multiple scans
   of the database ... to build CC tables for active nodes" of Section
-  5.2.1B).  Its size estimate is raised to the pair count observed
-  before the overflow, so the next admission reserves realistically.
+  5.2.1B).  Its size estimate is raised to the pair count observed in
+  the scan, so the next admission reserves realistically.
 * **SQL fallback** — if the node was scanned alone, or every co-batched
   peer has already been abandoned (so deferring would only buy it an
   identical solo scan), its CC genuinely cannot be accommodated: it
   switches to the SQL-based implementation and its counts are fetched
   from the server after the scan, modelling the paper's lazy
   retrieval: the middleware never holds that table against its budget.
+
+The per-row oracle admits row by row instead, abandoning a node
+mid-scan the moment its table outgrows its reservation.
 """
 
 from __future__ import annotations
@@ -84,17 +86,23 @@ from .columnar_cache import (
 )
 from .filters import RoutingKernel, batch_filter
 from .requests import CountsResult
-from .scan_pool import ScanWorkerPool
+from .scan_pool import ScanWorkerPool, _count_partition
 from .scheduler import _cc_tag
 from .shm import ShmShipper, shm_available
 from .sql_counting import counts_via_sql
 from .staging import (
     DataLocation,
+    InlineStagingWriter,
     ParallelStagingWriter,
     PipelinedStagingWriter,
     StagedFile,
 )
-from .vector_kernel import MAX_SLOTS, filter_supported
+from .vector_kernel import (
+    MAX_SLOTS,
+    count_partition_columnar,
+    filter_supported,
+    fold_payload,
+)
 
 
 @dataclass
@@ -112,11 +120,11 @@ class ScanStats:
     #: Wall-clock seconds spent producing and routing the scan's rows.
     wall_seconds: float = 0.0
     #: Condition-evaluation work: matcher closure calls in the per-row
-    #: loop, dispatch-table probes in the kernel loop.
+    #: oracle, dispatch-table probes in the counting loop.
     matcher_evals: int = 0
-    #: True when the compiled routing kernel ran (False = per-row loop).
+    #: True when the counting loop ran (False = the per-row oracle).
     kernel: bool = False
-    #: Worker tasks that counted this scan (1 = one of the serial loops).
+    #: Worker tasks that counted this scan (1 = inline, or the oracle).
     workers: int = 1
     #: Wall-clock seconds merging per-worker CC partials (parallel only).
     merge_seconds: float = 0.0
@@ -128,13 +136,13 @@ class ScanStats:
     #: True when the scan reused an already-running worker pool.
     pool_reused: bool = False
     #: Partitions the prefetch thread was allowed to run ahead
-    #: (0 = inline pull-then-submit, or a serial scan).
+    #: (0 = inline pull-then-submit, or a one-worker scan).
     prefetch_depth: int = 0
     #: Per-file writer threads used for staging output (0 = the single
-    #: pipelined funnel, or a serial scan).
+    #: pipelined funnel, or a one-worker scan).
     split_writers: int = 0
     #: True when the scan counted over columnar partitions (the
-    #: vectorized parallel path) instead of row tuples.
+    #: vectorized kernel) instead of row tuples.
     columnar: bool = False
     #: Wall-clock seconds encoding rows into columnar partitions
     #: (0.0 for row-tuple scans, and ~0 on a warm cache hit).
@@ -152,7 +160,7 @@ class ScanStats:
     #: scan skipped (0.0 on misses and uncached scans).
     encode_seconds_saved: float = 0.0
     ship_seconds_saved: float = 0.0
-    #: Rows per partition the sizer chose for this scan (0 = serial).
+    #: Rows per partition of this scan (0 = the per-row oracle).
     partition_rows: int = 0
     #: Highest prefetch depth the producer adapted to (>= the
     #: configured ``prefetch_depth`` when consumer starvation grew it;
@@ -388,14 +396,17 @@ class _PartitionSizer:
     TOO_SLOW_SECONDS = 0.25
     #: Hard ceiling for the no-estimate partition size.
     MAX_BLIND_ROWS = 1 << 20
+    #: Scan chunks in the starting no-estimate partition size — also
+    #: the fixed partition size of inline (one-worker) scans.
+    BLIND_CHUNKS = 8
 
     def __init__(self, chunk_rows: int, adaptive: bool) -> None:
         self._chunk_rows = max(1, chunk_rows)
         self._adaptive = adaptive
         self.parts_per_worker = self.MIN_PARTS_PER_WORKER
         #: Partition size used when the schedule has no row estimate.
-        #: A sane per-worker target, not one serial chunk.
-        self.blind_rows = self._chunk_rows * 8
+        #: A sane per-worker target, not one scan chunk.
+        self.blind_rows = self._chunk_rows * self.BLIND_CHUNKS
 
     def partition_rows(self, estimated_rows: int, n_workers: int) -> int:
         """Rows per partition for one scan."""
@@ -645,26 +656,21 @@ class ExecutionModule:
 
         started = time.perf_counter()
         try:
-            workers = self._parallel_workers(schedule)
-            plan = self._cache_plan(schedule) if workers > 1 else None
-            if plan is not None:
-                self._count_cached_columnar(
-                    schedule, plan, states, file_writers,
-                    memory_capture, scan, workers,
-                    self._partition_rows(schedule, workers),
-                )
-            elif workers > 1:
-                row_iter = self._rows_for(schedule, scan)
-                self._count_rows_parallel(
-                    schedule, row_iter, states, file_writers,
-                    memory_capture, scan, workers,
-                    self._partition_rows(schedule, workers),
-                )
-            elif self._config.scan_kernel:
-                row_iter = self._rows_for(schedule, scan)
-                self._count_rows_kernel(
-                    row_iter, states, file_writers, memory_capture, scan
-                )
+            if self._config.scan_kernel:
+                workers = self._parallel_workers(schedule)
+                partition_rows = self._partition_rows(schedule, workers)
+                plan = self._cache_plan(schedule) if workers > 1 else None
+                if plan is not None:
+                    self._count_cached_columnar(
+                        schedule, plan, states, file_writers,
+                        memory_capture, scan, workers, partition_rows,
+                    )
+                else:
+                    self._count_partitioned(
+                        schedule, self._rows_for(schedule, scan), states,
+                        file_writers, memory_capture, scan, workers,
+                        partition_rows,
+                    )
             else:
                 matchers = [
                     (state, self._make_matcher(state.request))
@@ -776,29 +782,30 @@ class ExecutionModule:
         return sum(request.n_rows for request in schedule.batch)
 
     def _parallel_workers(self, schedule: Any) -> int:
-        """Worker count for this scan (1 = stay on a serial loop).
+        """Worker count for this scan (1 = count inline).
 
-        The parallel path is a kernel-loop variant, so the per-row
-        reference loop (``scan_kernel=False``) always stays serial;
-        scans below ``scan_parallel_min_rows`` stay serial because
+        Scans below ``scan_parallel_min_rows`` stay inline because
         pool startup and merge overhead would dominate them.
         """
         config = self._config
-        if config.scan_workers <= 1 or not config.scan_kernel:
+        if config.scan_workers <= 1:
             return 1
         if self._source_rows(schedule) < config.scan_parallel_min_rows:
             return 1
         return config.scan_workers
 
     def _partition_rows(self, schedule: Any, n_workers: int) -> int:
-        """Partition size for one parallel scan, via the adaptive sizer.
+        """Rows per partition for one scan.
 
-        Starts at ~2 partitions per worker and never goes below a
-        serial scan chunk (tiny partitions would be all task overhead,
-        and with a process pool all shipping); scans without a row
-        estimate get the sizer's blind per-worker target instead of
-        degenerating to one chunk per partition.
+        Inline scans use the sizer's starting blind target, so their
+        partitions stay bounded however large the source is.  Pooled
+        scans ask the adaptive sizer, which starts at ~2 partitions per
+        worker and never goes below one scan chunk (tiny partitions
+        would be all task overhead, and with a process pool all
+        shipping).
         """
+        if n_workers == 1:
+            return self._config.scan_chunk_rows * _PartitionSizer.BLIND_CHUNKS
         return self._sizer.partition_rows(
             self._source_rows(schedule), n_workers
         )
@@ -823,99 +830,42 @@ class ExecutionModule:
         )
         return iter(rows)
 
-    # -- the scan loops ------------------------------------------------------
+    # -- the counting loop ---------------------------------------------------
 
-    def _count_rows_kernel(self, row_iter: Iterator[Any],
-                           states: list[_NodeCount],
-                           file_writers: dict[Any, StagedFile],
-                           memory_capture: dict[Any, list[Any]],
-                           scan: ScanStats) -> None:
-        """Chunked routing through the compiled dispatch kernel."""
-        scan.kernel = True
-        class_index = self._class_index
-        budget = self._budget
+    def _routing_context(self, states: list[_NodeCount]) -> tuple[Any, ...]:
+        """``(kernel, slots, class_index, n_classes)`` for the counters."""
         kernel = RoutingKernel(
             [state.request.conditions for state in states],
             self._attr_index,
         )
-        route = kernel.route
-        n_probes = kernel.n_probes
-        chunk_rows = self._config.scan_chunk_rows
-        # Staging output is buffered per chunk and flushed in blocks.
-        write_buffers: dict[Any, list[Any]] = {
-            node_id: [] for node_id in file_writers
-        }
-        capture_buffers: dict[Any, list[Any]] = {
-            node_id: [] for node_id in memory_capture
-        }
+        slots = tuple(
+            (state.request.node_id, state.request.attributes,
+             state.attr_positions)
+            for state in states
+        )
+        return kernel, slots, self._class_index, self._spec.n_classes
 
-        while True:
-            chunk = list(islice(row_iter, chunk_rows))
-            if not chunk:
-                break
-            scan.rows_seen += len(chunk)
-            scan.matcher_evals += n_probes * len(chunk)
-            for row in chunk:
-                mask = route(row)
-                if not mask:
-                    continue
-                scan.rows_routed += 1
-                # A frontier is an antichain, so normally exactly one
-                # bit is set; draining the mask keeps the module
-                # correct even for overlapping request sets.
-                while mask:
-                    low_bit = mask & -mask
-                    mask ^= low_bit
-                    target = states[low_bit.bit_length() - 1]
-                    node_id = target.request.node_id
-
-                    if not target.abandoned:
-                        new_pairs = target.cc.count_row_at(
-                            row, target.attr_positions, row[class_index]
-                        )
-                        if new_pairs:
-                            needed = target.cc.size_bytes
-                            if needed > target.reserved:
-                                deficit = needed - target.reserved
-                                if budget.try_reserve(
-                                    _cc_tag(node_id), deficit
-                                ):
-                                    target.reserved = needed
-                                else:
-                                    # Section 4.1.1: no new entries fit.
-                                    self._abandon(target, states, scan)
-
-                    buffer = write_buffers.get(node_id)
-                    if buffer is not None:
-                        buffer.append(row)
-                    buffer = capture_buffers.get(node_id)
-                    if buffer is not None:
-                        buffer.append(row)
-
-            for node_id, rows in write_buffers.items():
-                if rows:
-                    file_writers[node_id].append_rows(rows)
-                    rows.clear()
-            for node_id, rows in capture_buffers.items():
-                if rows:
-                    memory_capture[node_id].extend(rows)
-                    rows.clear()
-
-    def _acquire_pool(self) -> tuple[ScanWorkerPool, bool]:
-        """The worker pool for one parallel scan: ``(pool, owned)``.
+    def _install_pool(self, states: list[_NodeCount], ctx: tuple[Any, ...],
+                      scan: ScanStats) -> tuple[ScanWorkerPool, bool]:
+        """The worker pool for one pooled scan: ``(pool, owned)``.
 
         The session's persistent pool is used whenever the middleware
         provided one and ``config.scan_pool_reuse`` is on; otherwise a
         throwaway pool is built (and, ``owned`` = True, closed by the
-        caller after the scan) — the cold-start baseline.
+        caller after the scan) — the cold-start baseline.  Either way
+        the scan's routing context is installed before returning.
         """
-        if self._config.scan_pool_reuse and self._pool_provider is not None:
-            return self._pool_provider(), False
-        return (
-            ScanWorkerPool(self._config.scan_pool,
-                           self._config.scan_workers),
-            True,
+        config = self._config
+        if config.scan_pool_reuse and self._pool_provider is not None:
+            pool, owned = self._pool_provider(), False
+        else:
+            pool = ScanWorkerPool(config.scan_pool, config.scan_workers)
+            owned = True
+        scan.pool_reused = pool.active
+        scan.pool_setup_seconds = pool.install(
+            self._scan_signature(states), *ctx
         )
+        return pool, owned
 
     @staticmethod
     def _scan_signature(states: list[_NodeCount]) -> tuple[Any, ...]:
@@ -927,132 +877,192 @@ class ExecutionModule:
             for state in states
         )
 
-    def _count_rows_parallel(self, schedule: Any, row_iter: Iterator[Any],
-                             states: list[_NodeCount],
-                             file_writers: dict[Any, StagedFile],
-                             memory_capture: dict[Any, list[Any]],
-                             scan: ScanStats, n_workers: int,
-                             partition_rows: int) -> None:
-        """Partitioned scan through the worker pool (the parallel path).
+    def _staging_writer(self, file_writers: dict[Any, StagedFile],
+                        memory_capture: dict[Any, list[Any]],
+                        scan: ScanStats, pooled: bool,
+                        ) -> (InlineStagingWriter | PipelinedStagingWriter
+                              | ParallelStagingWriter | None):
+        """Where the scan's staged rows go (None when nothing is staged).
 
-        The row source is cut into ordered partitions — inline for
-        staged sources, through a bounded :class:`_PartitionProducer`
-        prefetch thread for SERVER scans — and submitted to the
-        session's persistent :class:`ScanWorkerPool`, which routes each
-        partition through the shared compiled kernel into *private*
-        per-node CC partials.  At most ``2 × workers`` partitions are
-        in flight; completed partials are merged into the real CC
-        tables in submission order (additive counts merge exactly),
-        and each partition's staged rows are handed — strictly in
-        partition order — to a per-file
-        :class:`~repro.core.staging.ParallelStagingWriter` (multi-file
-        split scans) or the single
-        :class:`~repro.core.staging.PipelinedStagingWriter`.  Staged
-        files and memory captures come out bit-identical to a serial
-        scan's, and flushes overlap counting.
-
-        On failure the scan drains its outstanding futures, stops the
-        prefetch thread and aborts the staging writer *before*
-        re-raising, so no half-written staged file survives (the
-        caller deletes the abandoned files) and the persistent pool
-        carries no stale work into the next scan.
-
-        §4.1.1 overflow is *not* checked row-by-row: workers count
-        unconditionally and the merged sizes are admitted against the
-        budget afterwards, in batch order.  Deferral / SQL-fallback
-        decisions therefore depend only on the merged result, never on
-        worker count, partition boundaries, prefetch depth or writer
-        arrangement.  (Deferred nodes get their estimate raised to the
-        exact pair count, so the next admission reserves precisely.)
-
-        The row source is consumed by exactly one thread (this one, or
-        the prefetch producer), so simulated per-row meter charges
-        accumulate exactly as in a serial scan.
-
-        When the columnar kernel is available (numpy importable,
-        ``config.scan_columnar`` on, batch narrow enough for the int64
-        candidate masks) the scan runs through
-        :meth:`_count_rows_parallel_columnar` instead — same structure,
-        but partitions are typed column arrays and counting is
-        vectorized; this row-tuple path is the fallback.
+        Inline scans append on the calling thread; pooled scans hand
+        each partition's rows to a writer thread — one per output file
+        on multi-file split scans — so flushes overlap counting.
         """
-        if (self._config.scan_columnar and columnar_available()
-                and len(states) <= MAX_SLOTS):
-            self._count_rows_parallel_columnar(
-                schedule, row_iter, states, file_writers, memory_capture,
-                scan, n_workers, partition_rows,
+        if not file_writers and not memory_capture:
+            return None
+        if not pooled:
+            return InlineStagingWriter(file_writers, memory_capture)
+        if len(file_writers) > 1 and self._config.scan_split_writers:
+            writer = ParallelStagingWriter(file_writers, memory_capture)
+            scan.split_writers = writer.n_writers
+            return writer
+        return PipelinedStagingWriter(file_writers, memory_capture)
+
+    def _partitions(self, schedule: Any, row_iter: Iterator[Any],
+                    columnar: bool, partition_rows: int,
+                    watch: _StopWatch) -> Iterator[Any]:
+        """The scan's ordered partition source.
+
+        Columnar partitions are encoded from cursor rows (SERVER),
+        assembled from the staged file's int32 blocks (FILE) or sliced
+        zero-copy from the memory set's cached encoding (MEMORY).  The
+        last two drop the row iterator unread, which reads and charges
+        nothing (``_rows_for`` already charged the memory read).
+        """
+        if not columnar:
+            return _slice_partitions(row_iter, partition_rows)
+        if schedule.mode is DataLocation.SERVER:
+            return _columnar_slices(row_iter, partition_rows, watch)
+        _close_source(row_iter)
+        staging = self._staging
+        if schedule.mode is DataLocation.FILE:
+            return _columnar_file_slices(
+                staging.file_for(schedule.source_node).scan_blocks(),
+                partition_rows, watch,
             )
-            return
+        started = time.perf_counter()
+        table = staging.columnar_memory(schedule.source_node)
+        watch.add(started)
+        return _columnar_memory_slices(table, partition_rows)
+
+    def _count_partitioned(self, schedule: Any, row_iter: Iterator[Any],
+                           states: list[_NodeCount],
+                           file_writers: dict[Any, StagedFile],
+                           memory_capture: dict[Any, list[Any]],
+                           scan: ScanStats, n_workers: int,
+                           partition_rows: int) -> None:
+        """The counting loop: partition, count, merge, stage, admit.
+
+        Batches of at most ``MAX_SLOTS`` nodes (with ``scan_columnar``
+        on) count columnar partitions with
+        :func:`~repro.core.vector_kernel.count_partition_columnar`,
+        which returns per-node count blocks plus selected-row index
+        arrays that are decoded back to rows from the partition; wider
+        batches count row-tuple partitions with
+        :func:`~repro.core.scan_pool._count_partition`.
+
+        At one worker each partition is counted inline and folded at
+        once.  With more workers partitions go to the worker pool (at
+        most ``2 × workers`` in flight, collected in submission order);
+        pooled SERVER scans pull through a bounded
+        :class:`_PartitionProducer`, and process pools ship columnar
+        partitions through witnessed shared-memory segments.  Staged
+        rows are put in partition order either way, so staged files and
+        memory captures are identical for any worker count.
+
+        The row source is consumed by exactly one thread, so simulated
+        per-row meter charges accrue exactly once.  §4.1.1 admission
+        runs on the merged sizes afterwards (:meth:`_admit_merged`).
+        On failure the scan stops the producer (or closes the source),
+        drains outstanding futures, aborts the staging writer and
+        releases every segment *before* re-raising; the caller then
+        abandons the files and reservations.
+        """
+        columnar = (self._config.scan_columnar and columnar_available()
+                    and len(states) <= MAX_SLOTS)
         scan.kernel = True
+        scan.columnar = columnar
         scan.workers = n_workers
         scan.partition_rows = partition_rows
-        kernel = RoutingKernel(
-            [state.request.conditions for state in states],
-            self._attr_index,
-        )
-        slots = tuple(
-            (state.request.node_id, state.request.attributes,
-             state.attr_positions)
-            for state in states
-        )
-        n_probes = kernel.n_probes
+        ctx = self._routing_context(states)
+        n_probes = ctx[0].n_probes
         stage_nodes = tuple(file_writers)
         capture_nodes = tuple(memory_capture)
-
-        pool, owned = self._acquire_pool()
-        scan.pool_reused = pool.active
-        scan.pool_setup_seconds = pool.install(
-            self._scan_signature(states), kernel, slots,
-            self._class_index, self._spec.n_classes,
+        count: Callable[..., Any] = (
+            count_partition_columnar if columnar else _count_partition
+        )
+        fold: Callable[[Any, Any], None] = (
+            fold_payload if columnar else CCTable.merge
         )
 
-        writer: ParallelStagingWriter | PipelinedStagingWriter | None = None
-        if stage_nodes or capture_nodes:
-            if (len(file_writers) > 1
-                    and self._config.scan_split_writers):
-                writer = ParallelStagingWriter(file_writers, memory_capture)
-                scan.split_writers = writer.n_writers
-            else:
-                writer = PipelinedStagingWriter(file_writers, memory_capture)
-
+        encode_watch = _StopWatch()
+        ship_watch = _StopWatch()
+        partitions = self._partitions(
+            schedule, row_iter, columnar, partition_rows, encode_watch
+        )
+        pool: ScanWorkerPool | None = None
+        owned = False
+        shipper: ShmShipper | None = None
         producer: _PartitionProducer | None = None
-        partitions: Iterator[list[Any]]
-        prefetch = self._config.scan_prefetch_partitions
-        if schedule.mode is DataLocation.SERVER and prefetch > 0:
-            producer = _PartitionProducer(
-                _slice_partitions(row_iter, partition_rows), prefetch,
-                max_depth=self._adaptive_prefetch_cap(prefetch),
-            )
-            partitions = producer.partitions()
-            scan.prefetch_depth = prefetch
-        else:
-            partitions = _slice_partitions(row_iter, partition_rows)
+        if n_workers > 1:
+            pool, owned = self._install_pool(states, ctx, scan)
+            if (columnar and pool.kind == "process"
+                    and self._config.scan_shared_memory
+                    and shm_available()):
+                shipper = ShmShipper()
+            prefetch = self._config.scan_prefetch_partitions
+            if schedule.mode is DataLocation.SERVER and prefetch > 0:
+                producer = _PartitionProducer(
+                    partitions, prefetch,
+                    max_depth=self._adaptive_prefetch_cap(prefetch),
+                )
+                partitions = producer.partitions()
+                scan.prefetch_depth = prefetch
+        writer = self._staging_writer(
+            file_writers, memory_capture, scan, pooled=pool is not None
+        )
 
-        def collect(future: Any) -> None:
-            (_, partials, routed, writes, captures,
-             seconds) = future.result()
+        #: seq -> (columnar partition pinned for staged-row decode |
+        #: None, shm segment name | None); entries live from submit
+        #: until collect, so a failed scan can release everything.
+        pinned: dict[int, tuple[ColumnarPartition | None, str | None]] = {}
+
+        def collect(result: Any) -> None:
+            seq, parts, routed, writes, captures, seconds = result
+            partition, segment = pinned.pop(seq)
+            if shipper is not None and segment is not None:
+                shipper.release(segment)
             scan.rows_routed += routed
             scan.worker_seconds.append(seconds)
             merge_started = time.perf_counter()
-            for state, partial in zip(states, partials):
-                state.cc.merge(partial)
+            for state, part in zip(states, parts):
+                fold(state.cc, part)
             scan.merge_seconds += time.perf_counter() - merge_started
             if writer is not None:
+                if partition is not None:
+                    writes = {
+                        node_id: partition.rows_at(idx)
+                        for node_id, idx in writes.items() if len(idx)
+                    }
+                    captures = {
+                        node_id: partition.rows_at(idx)
+                        for node_id, idx in captures.items() if len(idx)
+                    }
                 writer.put(writes, captures)
 
         inflight: deque[Any] = deque()
         max_inflight = max(2, 2 * n_workers)
         try:
             for seq, partition in enumerate(partitions):
-                scan.rows_seen += len(partition)
-                scan.matcher_evals += n_probes * len(partition)
+                n_rows = partition.n_rows if columnar else len(partition)
+                scan.rows_seen += n_rows
+                scan.matcher_evals += n_probes * n_rows
+                decode = (
+                    partition if columnar and writer is not None else None
+                )
+                if pool is None:
+                    pinned[seq] = (decode, None)
+                    collect(count(ctx, seq, partition, stage_nodes,
+                                  capture_nodes))
+                    continue
+                shipped: Any = partition
+                segment: str | None = None
+                if shipper is not None:
+                    ship_started = time.perf_counter()
+                    shipped = shipper.ship(partition)
+                    ship_watch.add(ship_started)
+                    segment = shipped.segment
+                pinned[seq] = (decode, segment)
+                submit: Callable[..., Any] = (
+                    pool.submit_columnar if columnar else pool.submit
+                )
                 inflight.append(
-                    pool.submit(seq, partition, stage_nodes, capture_nodes)
+                    submit(seq, shipped, stage_nodes, capture_nodes)
                 )
                 if len(inflight) >= max_inflight:
-                    collect(inflight.popleft())
+                    collect(inflight.popleft().result())
             while inflight:
-                collect(inflight.popleft())
+                collect(inflight.popleft().result())
             if writer is not None:
                 writer.close()
         except BaseException as exc:
@@ -1060,19 +1070,30 @@ class ExecutionModule:
                 producer.stop()
             else:
                 _close_source(partitions)
-            pool.drain(inflight)
+            if pool is not None:
+                pool.drain(inflight)
             if writer is not None:
                 writer.abort()
-            pool.retire_broken(exc)
+            if shipper is not None:
+                shipper.close()
+            if pool is not None:
+                pool.retire_broken(exc)
             raise
         finally:
+            pinned.clear()
+            if shipper is not None:
+                # Idempotent: releases only what a failure left behind.
+                shipper.close()
+            scan.encode_seconds = encode_watch.seconds
+            scan.ship_seconds = ship_watch.seconds
             if producer is not None:
                 scan.prefetch_peak = producer.peak_depth
-            if owned:
+            if pool is not None and owned:
                 pool.close()
 
         self._admit_merged(states, scan)
-        self._sizer.observe(scan.worker_seconds, partition_rows)
+        if pool is not None:
+            self._sizer.observe(scan.worker_seconds, partition_rows)
 
     def _adaptive_prefetch_cap(self, prefetch: int) -> int:
         """Ceiling for adaptive prefetch growth (2× the configured depth)."""
@@ -1093,194 +1114,6 @@ class ExecutionModule:
                     state.reserved = needed
                 else:
                     self._abandon(state, states, scan)
-
-    def _count_rows_parallel_columnar(
-            self, schedule: Any, row_iter: Iterator[Any],
-            states: list[_NodeCount],
-            file_writers: dict[Any, StagedFile],
-            memory_capture: dict[Any, list[Any]],
-            scan: ScanStats, n_workers: int,
-            partition_rows: int) -> None:
-        """The vectorized parallel path: columnar partitions, zero-copy.
-
-        Structure mirrors :meth:`_count_rows_parallel`; the differences
-        are what travels and how counting happens:
-
-        * partitions are :class:`ColumnarPartition` objects — typed
-          column buffers + null masks — built once at the source
-          (encoded from cursor rows for SERVER scans, zero-copy slices
-          of a cached session encoding for MEMORY scans, int32 block
-          matrices for FILE scans);
-        * process pools ship each partition through a
-          ``multiprocessing.shared_memory`` segment (one memcpy; only
-          the tiny segment handle is pickled) when
-          ``config.scan_shared_memory`` allows — the segment's
-          lifecycle is witnessed, created here and released when the
-          partition's result is collected, and the failure path closes
-          every still-live segment before re-raising;
-        * workers return pre-aggregated count *blocks* (folded via
-          ``CCTable.merge_block``) and staging output as selected-row
-          index arrays; the coordinator decodes staged rows from its
-          pinned partition copy, keeping staged files bit-identical to
-          a serial scan's.
-
-        §4.1.1 admission, writer arrangement, drain-on-failure and
-        meter-charge placement are identical to the row-tuple path.
-        """
-        scan.kernel = True
-        scan.columnar = True
-        scan.workers = n_workers
-        scan.partition_rows = partition_rows
-        kernel = RoutingKernel(
-            [state.request.conditions for state in states],
-            self._attr_index,
-        )
-        slots = tuple(
-            (state.request.node_id, state.request.attributes,
-             state.attr_positions)
-            for state in states
-        )
-        n_probes = kernel.n_probes
-        stage_nodes = tuple(file_writers)
-        capture_nodes = tuple(memory_capture)
-
-        pool, owned = self._acquire_pool()
-        scan.pool_reused = pool.active
-        scan.pool_setup_seconds = pool.install(
-            self._scan_signature(states), kernel, slots,
-            self._class_index, self._spec.n_classes,
-        )
-
-        writer: ParallelStagingWriter | PipelinedStagingWriter | None = None
-        if stage_nodes or capture_nodes:
-            if (len(file_writers) > 1
-                    and self._config.scan_split_writers):
-                writer = ParallelStagingWriter(file_writers, memory_capture)
-                scan.split_writers = writer.n_writers
-            else:
-                writer = PipelinedStagingWriter(file_writers, memory_capture)
-
-        encode_watch = _StopWatch()
-        ship_watch = _StopWatch()
-        shipper: ShmShipper | None = None
-        if (pool.kind == "process" and self._config.scan_shared_memory
-                and shm_available()):
-            shipper = ShmShipper()
-
-        staging = self._staging
-        producer: _PartitionProducer | None = None
-        partitions: Iterator[ColumnarPartition]
-        if schedule.mode is DataLocation.SERVER:
-            source = _columnar_slices(row_iter, partition_rows, encode_watch)
-            prefetch = self._config.scan_prefetch_partitions
-            if prefetch > 0:
-                producer = _PartitionProducer(
-                    source, prefetch,
-                    max_depth=self._adaptive_prefetch_cap(prefetch),
-                )
-                partitions = producer.partitions()
-                scan.prefetch_depth = prefetch
-            else:
-                partitions = source
-        elif schedule.mode is DataLocation.FILE:
-            # The row iterator was never started — dropping it unread
-            # performs no reads and charges nothing.
-            _close_source(row_iter)
-            partitions = _columnar_file_slices(
-                staging.file_for(schedule.source_node).scan_blocks(),
-                partition_rows, encode_watch,
-            )
-        else:
-            # MEMORY: _rows_for already charged the memory read; count
-            # over zero-copy slices of the cached columnar encoding.
-            _close_source(row_iter)
-            encode_started = time.perf_counter()
-            table = staging.columnar_memory(schedule.source_node)
-            encode_watch.add(encode_started)
-            partitions = _columnar_memory_slices(table, partition_rows)
-
-        #: seq -> (partition pinned for staged-row decode | None,
-        #:         shm segment name | None); entries live from submit
-        #: until collect, so a failed scan can release everything.
-        pinned: dict[int, tuple[ColumnarPartition | None, str | None]] = {}
-
-        def collect(future: Any) -> None:
-            (seq, payloads, routed, writes_idx, captures_idx,
-             seconds) = future.result()
-            partition, segment = pinned.pop(seq)
-            if shipper is not None and segment is not None:
-                shipper.release(segment)
-            scan.rows_routed += routed
-            scan.worker_seconds.append(seconds)
-            merge_started = time.perf_counter()
-            for state, payload in zip(states, payloads):
-                state.cc.merge_block(*payload)
-            scan.merge_seconds += time.perf_counter() - merge_started
-            if writer is not None and partition is not None:
-                writes = {
-                    node_id: partition.rows_at(idx)
-                    for node_id, idx in writes_idx.items() if len(idx)
-                }
-                captures = {
-                    node_id: partition.rows_at(idx)
-                    for node_id, idx in captures_idx.items() if len(idx)
-                }
-                writer.put(writes, captures)
-
-        inflight: deque[Any] = deque()
-        max_inflight = max(2, 2 * n_workers)
-        try:
-            for seq, partition in enumerate(partitions):
-                scan.rows_seen += partition.n_rows
-                scan.matcher_evals += n_probes * partition.n_rows
-                shipped: Any = partition
-                segment: str | None = None
-                if shipper is not None:
-                    ship_started = time.perf_counter()
-                    handle = shipper.ship(partition)
-                    ship_watch.add(ship_started)
-                    shipped = handle
-                    segment = handle.segment
-                pinned[seq] = (
-                    partition if writer is not None else None, segment
-                )
-                inflight.append(
-                    pool.submit_columnar(
-                        seq, shipped, stage_nodes, capture_nodes
-                    )
-                )
-                if len(inflight) >= max_inflight:
-                    collect(inflight.popleft())
-            while inflight:
-                collect(inflight.popleft())
-            if writer is not None:
-                writer.close()
-        except BaseException as exc:
-            if producer is not None:
-                producer.stop()
-            else:
-                _close_source(partitions)
-            pool.drain(inflight)
-            if writer is not None:
-                writer.abort()
-            if shipper is not None:
-                shipper.close()
-            pool.retire_broken(exc)
-            raise
-        finally:
-            pinned.clear()
-            if shipper is not None:
-                # Idempotent: releases only what a failure left behind.
-                shipper.close()
-            scan.encode_seconds = encode_watch.seconds
-            scan.ship_seconds = ship_watch.seconds
-            if producer is not None:
-                scan.prefetch_peak = producer.peak_depth
-            if owned:
-                pool.close()
-
-        self._admit_merged(states, scan)
-        self._sizer.observe(scan.worker_seconds, partition_rows)
 
     def _cache_plan(self, schedule: Any) -> ColumnarScanPlan | None:
         """A table-version cache plan for this scan, or None to stream.
@@ -1336,7 +1169,7 @@ class ExecutionModule:
             partition_rows: int) -> None:
         """Count over the cached full-source encoding ("warm scan").
 
-        Structure mirrors :meth:`_count_rows_parallel_columnar`, with
+        Structure mirrors pooled :meth:`_count_partitioned`, with
         the encode/ship stages hoisted out of the per-scan loop:
 
         * the full source is encoded **once per table version** — a
@@ -1358,7 +1191,7 @@ class ExecutionModule:
 
         Staged-row index arrays come back slice-relative; the
         coordinator re-bases them onto the full encoding before
-        decoding, keeping staged files bit-identical to a serial
+        decoding, keeping staged files bit-identical to a streamed
         scan's.  §4.1.1 admission and drain-on-failure are unchanged.
         A failure mid-count leaves the cache untouched — a miss admits
         its entry only after encoding completes, and the encoding is
@@ -1370,34 +1203,14 @@ class ExecutionModule:
         scan.cached = True
         scan.workers = n_workers
         scan.partition_rows = partition_rows
-        kernel = RoutingKernel(
-            [state.request.conditions for state in states],
-            self._attr_index,
-        )
-        slots = tuple(
-            (state.request.node_id, state.request.attributes,
-             state.attr_positions)
-            for state in states
-        )
-        n_probes = kernel.n_probes
+        ctx = self._routing_context(states)
+        n_probes = ctx[0].n_probes
         stage_nodes = tuple(file_writers)
         capture_nodes = tuple(memory_capture)
-
-        pool, owned = self._acquire_pool()
-        scan.pool_reused = pool.active
-        scan.pool_setup_seconds = pool.install(
-            self._scan_signature(states), kernel, slots,
-            self._class_index, self._spec.n_classes,
+        pool, owned = self._install_pool(states, ctx, scan)
+        writer = self._staging_writer(
+            file_writers, memory_capture, scan, pooled=True
         )
-
-        writer: ParallelStagingWriter | PipelinedStagingWriter | None = None
-        if stage_nodes or capture_nodes:
-            if (len(file_writers) > 1
-                    and self._config.scan_split_writers):
-                writer = ParallelStagingWriter(file_writers, memory_capture)
-                scan.split_writers = writer.n_writers
-            else:
-                writer = PipelinedStagingWriter(file_writers, memory_capture)
 
         cache = self._scan_cache
         assert cache is not None

@@ -120,7 +120,8 @@ def _count_partition(
 ) -> tuple[int, list[CCTable], int, dict[Any, list[Any]], dict[Any, list[Any]], float]:
     """Count one row partition against a routing context.
 
-    Runs inside a worker (thread or process).  Returns only additive,
+    Runs inside a worker (thread or process), or inline on the
+    coordinator for scans counted at one worker.  Returns only additive,
     order-independent state — per-slot CC partials, the routed-row
     count, and the rows destined for each staging target — so the
     coordinator can merge partials in any completion order and apply

@@ -271,6 +271,47 @@ class StagedFile:
         )
 
 
+def _apply_staged_rows(file_writers: Mapping[Any, StagedFile],
+                       memory_capture: Mapping[Any, list[Any]],
+                       file_rows: Mapping[Any, list[Any]],
+                       capture_rows: Mapping[Any, list[Any]]) -> None:
+    """Append one partition's staged rows to its files and captures."""
+    for node_id, rows in file_rows.items():
+        if rows:
+            file_writers[node_id].append_rows(rows)
+    for node_id, rows in capture_rows.items():
+        if rows:
+            memory_capture[node_id].extend(rows)
+
+
+class InlineStagingWriter:
+    """Staging output of a scan counted inline at one worker.
+
+    The same ``put`` / ``close`` / ``abort`` interface as the threaded
+    writers below, but each partition's rows are appended on the
+    calling thread as the partition is collected, so an inline scan
+    starts no thread.  Call order is partition order, so staged files
+    come out identical to a pooled scan's.
+    """
+
+    def __init__(self, file_writers: Mapping[Any, StagedFile],
+                 memory_capture: Mapping[Any, list[Any]]) -> None:
+        self._file_writers = file_writers
+        self._memory_capture = memory_capture
+
+    def put(self, file_rows: Mapping[Any, list[Any]],
+            capture_rows: Mapping[Any, list[Any]]) -> None:
+        """Append one partition's staged rows (in partition order)."""
+        _apply_staged_rows(self._file_writers, self._memory_capture,
+                           file_rows, capture_rows)
+
+    def close(self) -> None:
+        """Nothing is buffered here: every :meth:`put` has landed."""
+
+    def abort(self) -> None:
+        """Nothing to stop; the caller abandons the files."""
+
+
 class PipelinedStagingWriter:
     """Single-writer funnel for a parallel scan's staging output.
 
@@ -333,12 +374,8 @@ class PipelinedStagingWriter:
                 continue  # keep draining so producers never block
             file_rows, capture_rows = item
             try:
-                for node_id, rows in file_rows.items():
-                    if rows:
-                        self._file_writers[node_id].append_rows(rows)
-                for node_id, rows in capture_rows.items():
-                    if rows:
-                        self._memory_capture[node_id].extend(rows)
+                _apply_staged_rows(self._file_writers, self._memory_capture,
+                                   file_rows, capture_rows)
             except BaseException as exc:  # surfaced to the producer
                 with self._error_lock:
                     if self._error is None:

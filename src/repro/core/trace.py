@@ -37,7 +37,7 @@ class ScheduleRecord:
     matcher_evals: int = 0
     #: True when the compiled routing kernel ran this scan.
     kernel: bool = False
-    #: Worker tasks that counted the scan (1 = a serial loop).
+    #: Worker tasks that counted the scan (1 = inline, or the oracle).
     workers: int = 1
     #: Seconds spent merging per-worker CC partials (parallel scans).
     merge_seconds: float = 0.0

@@ -17,11 +17,11 @@ replaces both loops with array passes:
 gets real parallelism out of this path.  The result payload per slot is
 ``(records, class_totals, blocks)`` where each block is
 ``(attribute, values, counts)`` with zero-count values filtered out —
-exactly the keys the serial kernel would have created, so the folded
-tables compare equal (``CCTable.__eq__``) to a serial count.
+exactly the keys a row-at-a-time count would have created, so the
+folded tables compare equal (``CCTable.__eq__``) to the per-row oracle.
 
 Capacity: candidate masks are int64, so batches are limited to
-:data:`MAX_SLOTS` nodes; the executor falls back to the row kernel for
+:data:`MAX_SLOTS` nodes; the executor counts row-tuple partitions for
 wider batches (which the scheduler's memory bound makes rare).
 """
 
@@ -180,7 +180,7 @@ def _count_column(attribute: str, column: Any, sel: Any, cls_sel: Any,
     """One CC block ``(attribute, values, count vectors)`` for a slot.
 
     Values whose count vector would be all-zero are omitted — the
-    serial kernel never creates those keys, and ``CCTable.__eq__``
+    row-at-a-time count never creates those keys, and ``CCTable.__eq__``
     compares key sets.
     """
     if column.kind == DICT:
@@ -217,8 +217,8 @@ def _class_codes(column: Any) -> tuple[Any, Any]:
     """Class column as int64 codes plus an optional null mask.
 
     Dictionary-encoded class columns decode through ``int(value)`` so a
-    non-integer label raises the same ``TypeError`` the serial kernel's
-    list indexing would.
+    non-integer label raises the same ``TypeError`` the row-at-a-time
+    count's list indexing would.
     """
     if column.kind == DICT:
         assert column.values is not None

@@ -1,14 +1,26 @@
-"""Failure injection: the middleware cleans up when scans die mid-way."""
+"""Failure injection: the middleware cleans up when scans die mid-way.
+
+The row-source, staging-write and interrupt cases run twice: counted
+inline at one worker (:class:`TestScanFailureCleanup`) and fanned out
+to a two-worker pool (:class:`TestScanFailureCleanupPooled`).  Either
+way a failed scan must leave no staged file, memory reservation, CC
+reservation or live helper resource behind.
+"""
 
 import pytest
 
+from repro.client.decision_tree import DecisionTreeClassifier
 from repro.common.errors import MiddlewareError, StagingError
+from repro.common.locks import LockMonitor, install_monitor
 from repro.core.config import MiddlewareConfig
 from repro.core.filters import PathCondition
 from repro.core.middleware import Middleware
 from repro.core.requests import CountsRequest
+from repro.core.staging import StagedFile
+from repro.core.vector_kernel import MAX_SLOTS
 from repro.datagen.dataset import DatasetSpec
 from repro.datagen.loader import load_dataset
+from repro.datagen.random_tree import RandomTreeConfig, build_random_tree
 from repro.sqlengine.database import SQLServer
 
 SPEC = DatasetSpec([3, 3], 2)
@@ -35,34 +47,79 @@ def root_request(n_rows=len(ROWS)):
 
 
 class _ExplodingIterator:
-    """Row iterator that dies after a few rows."""
+    """Row iterator that raises ``error`` after a few rows."""
 
-    def __init__(self, rows, blow_after):
+    def __init__(self, rows, blow_after, error):
         self._rows = iter(rows)
         self._remaining = blow_after
+        self._error = error
 
     def __iter__(self):
         return self
 
     def __next__(self):
         if self._remaining == 0:
-            raise RuntimeError("disk on fire")
+            raise self._error
         self._remaining -= 1
         return next(self._rows)
 
 
+class _RecordingMonitor(LockMonitor):
+    """Counts tracked resources created and still alive, by kind."""
+
+    def __init__(self):
+        self.created = {}
+        self._live = {}
+
+    def resource_created(self, kind, obj, detail=""):
+        self.created[kind] = self.created.get(kind, 0) + 1
+        # Holding the object keeps its id from being reused.
+        self._live[id(obj)] = (kind, obj)
+
+    def resource_closed(self, kind, obj):
+        self._live.pop(id(obj), None)
+
+    def live_kinds(self):
+        return sorted({kind for kind, _ in self._live.values()})
+
+
+@pytest.fixture
+def monitor():
+    recording = _RecordingMonitor()
+    previous = install_monitor(recording)
+    yield recording
+    install_monitor(previous)
+
+
 class TestScanFailureCleanup:
-    def _explode(self, middleware, blow_after=3):
+    """Failures mid-scan, counted inline at one worker.
+
+    One-row chunks make 8-row inline partitions, so a failure at row
+    20 lands mid-way through the third partition, after two have been
+    counted and staged.
+    """
+
+    CONFIG = {"scan_workers": 1, "scan_chunk_rows": 1}
+    BLOW_AFTER = 20
+
+    def make(self, **overrides):
+        return make_middleware(**self.CONFIG, **overrides)
+
+    def _explode(self, middleware, blow_after=None, error=None):
         """Patch the execution module's row source to fail mid-scan."""
         original = middleware.execution._rows_for
+        blow_after = self.BLOW_AFTER if blow_after is None else blow_after
+        error = error if error is not None else RuntimeError("disk on fire")
 
         def failing(schedule, scan):
-            return _ExplodingIterator(original(schedule, scan), blow_after)
+            return _ExplodingIterator(
+                original(schedule, scan), blow_after, error
+            )
 
         middleware.execution._rows_for = failing
 
     def test_cc_reservations_released_on_failure(self):
-        with make_middleware() as mw:
+        with self.make() as mw:
             self._explode(mw)
             mw.queue_request(root_request())
             with pytest.raises(RuntimeError, match="disk on fire"):
@@ -70,7 +127,7 @@ class TestScanFailureCleanup:
             assert mw.budget.used == 0
 
     def test_partial_staging_files_removed_on_failure(self):
-        with make_middleware(memory_staging=False) as mw:
+        with self.make(memory_staging=False) as mw:
             self._explode(mw)
             mw.queue_request(root_request())
             with pytest.raises(RuntimeError):
@@ -78,7 +135,7 @@ class TestScanFailureCleanup:
             assert mw.staging.file_nodes() == []
 
     def test_memory_reservations_cancelled_on_failure(self):
-        with make_middleware(file_staging=False) as mw:
+        with self.make(file_staging=False) as mw:
             self._explode(mw)
             mw.queue_request(root_request())
             with pytest.raises(RuntimeError):
@@ -87,7 +144,7 @@ class TestScanFailureCleanup:
             assert mw.budget.used == 0
 
     def test_middleware_still_usable_after_failure(self):
-        with make_middleware() as mw:
+        with self.make() as mw:
             self._explode(mw)
             mw.queue_request(root_request())
             with pytest.raises(RuntimeError):
@@ -99,6 +156,106 @@ class TestScanFailureCleanup:
             mw.queue_request(root_request())
             (result,) = mw.process_next_batch()
             assert result.cc.records == len(ROWS)
+
+    def assert_nothing_left(self, mw, staging_dir, monitor):
+        assert mw.staging.file_nodes() == []
+        assert list(staging_dir.iterdir()) == []
+        assert mw.staging.memory_nodes() == []
+        assert mw.budget.used == 0
+        # No staged file, writer thread, prefetch thread or future
+        # outlives the failed scan.
+        assert monitor.live_kinds() in ([], ["executor"])
+
+    @pytest.mark.parametrize("staging", ["file", "memory"])
+    def test_scan_raising_mid_partition_leaves_nothing(
+            self, staging, tmp_path, monitor):
+        with self.make(staging_dir=str(tmp_path),
+                       file_staging=staging == "file",
+                       memory_staging=staging == "memory") as mw:
+            self._explode(mw)
+            mw.queue_request(root_request())
+            with pytest.raises(RuntimeError, match="disk on fire"):
+                mw.process_next_batch()
+            assert mw.execution.stats.batches == 0
+            self.assert_nothing_left(mw, tmp_path, monitor)
+
+    def test_staging_write_failure_leaves_nothing(
+            self, tmp_path, monitor, monkeypatch):
+        original = StagedFile.append_rows
+        calls = {"n": 0}
+
+        def failing_append(staged, rows):
+            calls["n"] += 1
+            if calls["n"] > 1:
+                raise OSError("staging disk full")
+            original(staged, rows)
+
+        monkeypatch.setattr(StagedFile, "append_rows", failing_append)
+        with self.make(staging_dir=str(tmp_path),
+                       memory_staging=False) as mw:
+            mw.queue_request(root_request())
+            with pytest.raises(OSError, match="staging disk full"):
+                mw.process_next_batch()
+            assert calls["n"] > 1  # a write after the first one failed
+            self.assert_nothing_left(mw, tmp_path, monitor)
+            monkeypatch.setattr(StagedFile, "append_rows", original)
+            mw.queue_request(root_request())
+            (result,) = mw.process_next_batch()
+            assert result.cc.records == len(ROWS)
+
+    def test_keyboard_interrupt_leaves_nothing(self, tmp_path, monitor):
+        with self.make(staging_dir=str(tmp_path)) as mw:
+            self._explode(mw, error=KeyboardInterrupt())
+            mw.queue_request(root_request())
+            with pytest.raises(KeyboardInterrupt):
+                mw.process_next_batch()
+            self.assert_nothing_left(mw, tmp_path, monitor)
+
+
+class TestScanFailureCleanupPooled(TestScanFailureCleanup):
+    """The same failures with two pooled workers.
+
+    No size gate and 4-row chunks give 9-row partitions on the 36-row
+    table, so row 20 again fails the third partition while earlier
+    ones are in flight or staged.  The columnar cache is pinned off:
+    its encode-once path never reads the streaming row source the
+    failures are injected into.
+    """
+
+    CONFIG = {
+        "scan_workers": 2,
+        "scan_parallel_min_rows": 0,
+        "scan_chunk_rows": 4,
+        "scan_columnar_cache": False,
+    }
+
+
+class TestDefaultFitIsInline:
+    """A default-config fit counts every scan inline, with no threads."""
+
+    def test_default_fit_uses_no_pool_and_no_writer_thread(
+            self, monkeypatch, monitor):
+        monkeypatch.delenv("REPRO_SCAN_WORKERS", raising=False)
+        generating = build_random_tree(
+            RandomTreeConfig(n_attributes=6, values_per_attribute=3,
+                             n_classes=3, n_leaves=12, cases_per_leaf=40,
+                             seed=11)
+        )
+        server = SQLServer()
+        load_dataset(server, "data", generating.spec,
+                     generating.materialize())
+        with Middleware(server, "data", generating.spec,
+                        MiddlewareConfig(memory_bytes=20_000)) as mw:
+            DecisionTreeClassifier().fit(mw)
+            assert mw.scan_pool is None
+            modes = {record.mode for record in mw.trace}
+            assert {"SERVER", "FILE", "MEMORY"} <= modes
+            assert mw.stats.files_written and mw.stats.memory_sets_loaded
+            for record in mw.trace:
+                assert record.workers == 1
+                assert record.columnar or len(record.batch) > MAX_SLOTS
+        for kind in ("staging-writer", "scan-prefetch", "executor"):
+            assert kind not in monitor.created
 
 
 class TestPoisonedPartition:

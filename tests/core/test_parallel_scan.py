@@ -1,10 +1,11 @@
 """Unit tests for the parallel partitioned scan executor.
 
-The parallel path (`ExecutionModule._count_rows_parallel`) must be a
-pure wall-clock optimisation: for any worker count and pool kind it has
-to produce the same CC tables, the same staged files (bit-identical),
-the same memory captures, the same overflow recoveries, the same meter
-charges and the same fitted trees as the serial kernel loop.  These
+The pooled counting loop (`ExecutionModule._count_partitioned` with
+more than one worker) must be a pure wall-clock optimisation: for any
+worker count and pool kind it has to produce the same CC tables, the
+same staged files (bit-identical), the same memory captures, the same
+overflow recoveries, the same meter charges and the same fitted trees
+as the same loop counted inline at one worker.  These
 tests force the parallel path onto tiny data sets with
 ``scan_parallel_min_rows=0`` and small partitions so several workers
 genuinely share each scan.
@@ -230,16 +231,11 @@ class TestParallelOverflow:
 
     def test_recovery_deterministic_across_worker_counts(self):
         # Per-scan recovery decisions depend only on the merged sizes,
-        # so every parallel worker count takes the identical path.  The
-        # serial kernel is not scan-for-scan identical — it abandons
-        # mid-scan with a partial pair count as the corrected estimate,
-        # where the parallel path abandons post-merge with the exact
-        # count — but its final counts must match exactly.
-        serial_results, _, serial_stats = self.overflow_results(1)
-        assert serial_stats[0] >= 1  # the scenario really overflows
+        # so every worker count — inline at one worker included —
+        # takes the identical path.
         reference_results, reference_outcomes, reference_stats = \
             self.overflow_results(2)
-        assert reference_outcomes[0][0] >= 1  # parallel overflows too
+        assert reference_outcomes[0][0] >= 1  # the scenario overflows
         rows = dataset_rows()
         references = {
             f"n{value}": build_cc_from_rows(
@@ -247,14 +243,13 @@ class TestParallelOverflow:
             )
             for value in range(3)
         }
-        for workers in (4, 8):
+        for workers in (1, 4, 8):
             results, outcomes, stats = self.overflow_results(workers)
             assert outcomes == reference_outcomes
             assert stats == reference_stats
             for node_id, reference in references.items():
                 assert results[node_id].cc == reference
         for node_id, reference in references.items():
-            assert serial_results[node_id].cc == reference
             assert reference_results[node_id].cc == reference
 
     @pytest.mark.parametrize("workers", [2, 4])
@@ -274,6 +269,55 @@ class TestParallelOverflow:
             assert mw.stats.deferrals == 0
         assert result.used_sql_fallback
         assert result.cc == build_cc_from_rows(rows, SPEC, ("A1", "A2"))
+
+
+class TestMeterInvariance:
+    """A fit's metered cost does not depend on the worker count.
+
+    §4.1.1 admission runs on the merged CC sizes on every counting
+    path, so a fit whose budget forces deferrals takes the same
+    recoveries, and charges the same meter, inline at one worker as on
+    a two-thread pool.  The 3,300-row table is above the default
+    ``scan_parallel_min_rows``, so the two-worker fit's large scans
+    really run pooled.
+    """
+
+    def fit(self, workers):
+        generating = build_random_tree(
+            RandomTreeConfig(n_attributes=8, values_per_attribute=4,
+                             n_classes=3, n_leaves=20, cases_per_leaf=150,
+                             seed=5)
+        )
+        rows = generating.materialize()
+        assert len(rows) > MiddlewareConfig().scan_parallel_min_rows
+        server = SQLServer()
+        load_dataset(server, "data", generating.spec, rows)
+        config = MiddlewareConfig(memory_bytes=8_000, scan_workers=workers,
+                                  scan_pool="thread")
+        with Middleware(server, "data", generating.spec, config) as mw:
+            classifier = DecisionTreeClassifier()
+            classifier.fit(mw)
+            pooled_deferrals = sum(
+                record.deferrals for record in mw.trace
+                if record.workers > 1
+            )
+            return {
+                "tree": tree_signature(classifier.tree.root),
+                "total": server.meter.total,
+                "breakdown": server.meter.breakdown(),
+                "deferrals": mw.stats.deferrals,
+                "pooled_deferrals": pooled_deferrals,
+            }
+
+    def test_cost_identical_inline_and_pooled_under_deferral(self):
+        inline = self.fit(1)
+        pooled = self.fit(2)
+        assert inline["deferrals"] > 0
+        assert pooled["pooled_deferrals"] > 0  # deferred on a pooled scan
+        assert inline["tree"] == pooled["tree"]
+        assert inline["total"] == pooled["total"]
+        assert inline["breakdown"] == pooled["breakdown"]
+        assert inline["deferrals"] == pooled["deferrals"]
 
 
 class TestParallelProfiling:

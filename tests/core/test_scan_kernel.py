@@ -1,9 +1,9 @@
-"""Unit tests for the batched scan kernel and its profiling layer.
+"""Unit tests for the routing kernel and the scan profiling layer.
 
-The kernel (`repro.core.filters.RoutingKernel` driven by
-`ExecutionModule._count_rows_kernel`) must route rows exactly like the
-reference per-row matcher loop; ``config.scan_kernel`` is the A/B
-switch the equivalence tests flip.
+The counting loop (`ExecutionModule._count_partitioned`, which routes
+through `repro.core.filters.RoutingKernel`) must count and stage rows
+exactly like the reference per-row matcher loop; ``config.scan_kernel``
+is the A/B switch the equivalence tests flip.
 """
 
 import pytest
