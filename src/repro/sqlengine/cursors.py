@@ -61,47 +61,6 @@ class ForwardCursor:
             events=transferred,
         )
 
-    #: meter parity with ForwardCursor.rows
-    def partitions(self, partition_rows: int) -> Iterator[Any]:
-        """Yield qualifying rows as :class:`ColumnarPartition` batches.
-
-        The columnar twin of :meth:`rows`: identical charges (page I/O
-        up front, per-row transfer for qualifying rows at the end), but
-        rows arrive encoded column-wise in batches of up to
-        ``partition_rows`` so the executor can hand them to scan
-        workers without re-encoding.  Requires numpy.
-        """
-        from ..common.errors import SQLError
-        from .columnar import ColumnarPartition, columnar_available
-
-        if not self._open:
-            raise CursorStateError("cursor is closed")
-        if not columnar_available():
-            raise SQLError("columnar cursor scans need numpy")
-        if partition_rows < 1:
-            raise ValueError("partition_rows must be positive")
-        schema = self._table.schema
-        predicate = compile_predicate(self._predicate_expr, schema)
-        model = self._model
-        meter = self._meter
-        transferred = 0
-        pages = self._table.pages_touched()
-        meter.charge("server_io", model.server_page_io * pages, events=pages)
-        pending: list[Row] = []
-        for row in self._table.scan_rows():
-            if predicate(row):
-                transferred += 1
-                pending.append(row)
-                if len(pending) >= partition_rows:
-                    yield ColumnarPartition.from_rows(pending)
-                    pending = []
-        if pending:
-            yield ColumnarPartition.from_rows(pending)
-        meter.charge(
-            "transfer", model.transfer_per_row * transferred,
-            events=transferred,
-        )
-
     def close(self) -> None:
         self._open = False
 

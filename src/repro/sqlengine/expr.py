@@ -7,13 +7,26 @@ This AST is shared by three consumers:
 * the middleware builds node-path filters from it directly
   (Section 4.3.1) and renders them back to SQL for server execution.
 
-Expressions are immutable.  ``compile_predicate`` turns an expression
-into a closure over column positions so a scan evaluates it with tuple
-indexing only — no per-row dictionary building.
+Expressions are immutable.  :meth:`Expr.compile` is the one compiler:
+a small code generator renders the whole tree as the source of a
+single Python function over a row tuple — ``row[i]`` positions from
+``schema.index_of``, fixed operator tokens, ``and``/``or``/``not`` —
+then ``compile()``s and ``exec``s it.  A scan therefore evaluates a
+pushed OR-of-paths filter as one straight-line function, not a walk
+over nested closures.  Two rules keep the generated source safe:
+
+* **No value text.**  Literal values and ``IN`` sets are bound as
+  generated names (``_k0``, ``_k1``, …) in the function's namespace;
+  the source holds only integer positions, operator tokens and those
+  names, and the namespace carries no builtins.
+* **A depth guard.**  CPython's parser rejects source nested about 200
+  parentheses deep, so any subtree deeper than ``_INLINE_DEPTH`` is
+  generated as a function of its own and called by name.
 
 NULL semantics are simplified: any comparison involving ``None`` is
-false.  The mining workloads never generate NULLs; the rule exists so
-the engine is total.
+false (``<>`` too, and ordering never raises), a NULL never matches
+``IN``, and ``NOT`` is plain negation.  The mining workloads never
+generate NULLs; the rule exists so the engine is total.
 """
 
 from __future__ import annotations
@@ -31,14 +44,12 @@ RowFunc = Callable[[Row], Any]
 
 COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
-_OP_FUNCS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+#: SQL comparison operator -> the Python operator token it renders as.
+_PYTHON_OPS = dict(zip(COMPARISON_OPS, ("==", "!=", "<", "<=", ">", ">=")))
+
+#: Composite nodes nested deeper than this inside one generated
+#: function are split off into a function of their own.
+_INLINE_DEPTH = 32
 
 
 def sql_literal(value: object) -> str:
@@ -56,6 +67,11 @@ def sql_literal(value: object) -> str:
 class Expr:
     """Base class for all expression nodes."""
 
+    #: True for nodes that add no nesting to generated source.
+    _leaf = False
+    #: True for nodes that always evaluate to a truth value.
+    _boolean = True
+
     def columns(self) -> set[str]:
         """Set of column names this expression references."""
         raise NotImplementedError
@@ -65,7 +81,15 @@ class Expr:
         raise NotImplementedError
 
     def compile(self, schema: "TableSchema") -> RowFunc:
-        """Return ``callable(row_tuple) -> value`` for rows of ``schema``."""
+        """Return ``callable(row_tuple) -> value`` for rows of ``schema``.
+
+        Only ``schema.index_of`` is consulted.  Predicates return
+        ``bool``; scalar expressions return the row's value.
+        """
+        return _CodeGen(schema).build(self)
+
+    def _render(self, gen: "_CodeGen") -> str:
+        """Python expression text for this node (see :class:`_CodeGen`)."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -87,21 +111,22 @@ class Literal(Expr):
     """A constant value."""
 
     __slots__ = ("value",)
+    _leaf = True
+    _boolean = False
 
     def __init__(self, value: SQLValue) -> None:
         self.value = value
 
-    def columns(self):
+    def columns(self) -> set[str]:
         return set()
 
-    def to_sql(self):
+    def to_sql(self) -> str:
         return sql_literal(self.value)
 
-    def compile(self, schema):
-        value = self.value
-        return lambda row: value
+    def _render(self, gen: "_CodeGen") -> str:
+        return gen.bind(self.value)
 
-    def _key(self):
+    def _key(self) -> tuple[object, ...]:
         return (self.value,)
 
 
@@ -109,21 +134,22 @@ class ColumnRef(Expr):
     """A reference to a column by name."""
 
     __slots__ = ("name",)
+    _leaf = True
+    _boolean = False
 
     def __init__(self, name: str) -> None:
         self.name = name
 
-    def columns(self):
+    def columns(self) -> set[str]:
         return {self.name}
 
-    def to_sql(self):
+    def to_sql(self) -> str:
         return self.name
 
-    def compile(self, schema):
-        index = schema.index_of(self.name)
-        return lambda row: row[index]
+    def _render(self, gen: "_CodeGen") -> str:
+        return gen.column(self.name)
 
-    def _key(self):
+    def _key(self) -> tuple[object, ...]:
         return (self.name,)
 
 
@@ -139,27 +165,35 @@ class Comparison(Expr):
         self.left = left
         self.right = right
 
-    def columns(self):
+    def columns(self) -> set[str]:
         return self.left.columns() | self.right.columns()
 
-    def to_sql(self):
+    def to_sql(self) -> str:
         return f"{self.left.to_sql()} {self.op} {self.right.to_sql()}"
 
-    def compile(self, schema):
-        left = self.left.compile(schema)
-        right = self.right.compile(schema)
-        func = _OP_FUNCS[self.op]
+    def _render(self, gen: "_CodeGen") -> str:
+        operands = (self.left, self.right)
+        if any(isinstance(o, Literal) and o.value is None for o in operands):
+            return "False"  # a NULL literal compares False
+        a, b = (gen.render(o) for o in operands)
+        op = _PYTHON_OPS[self.op]
+        if self.op == "=" and any(isinstance(o, Literal) for o in operands):
+            # NULL equals no non-NULL literal, so no None check is needed.
+            return f"({a} {op} {b})"
+        prelude = ""
+        if not (self.left._leaf and self.right._leaf):
+            # Evaluate each operand once, both before any None check.
+            values = (a, b)
+            a, b = gen.temp(), gen.temp()
+            prelude = f"(({a} := {values[0]}), ({b} := {values[1]})) and "
+        checks = "".join(
+            f"{name} is not None and "
+            for name, o in zip((a, b), operands)
+            if not isinstance(o, Literal)
+        )
+        return f"({prelude}{checks}{a} {op} {b})"
 
-        def evaluate(row: Row) -> bool:
-            a = left(row)
-            b = right(row)
-            if a is None or b is None:
-                return False
-            return func(a, b)
-
-        return evaluate
-
-    def _key(self):
+    def _key(self) -> tuple[object, ...]:
         return (self.op, self.left, self.right)
 
 
@@ -175,24 +209,19 @@ class InList(Expr):
         if not self.values:
             raise ValueError("IN list must not be empty")
 
-    def columns(self):
+    def columns(self) -> set[str]:
         return self.operand.columns()
 
-    def to_sql(self):
+    def to_sql(self) -> str:
         rendered = ", ".join(sql_literal(v) for v in self.values)
         return f"{self.operand.to_sql()} IN ({rendered})"
 
-    def compile(self, schema):
-        operand = self.operand.compile(schema)
-        values = frozenset(self.values)
+    def _render(self, gen: "_CodeGen") -> str:
+        # Dropping NULL from the set is what keeps a NULL from matching.
+        members = gen.bind(frozenset(self.values) - {None})
+        return f"({gen.render(self.operand)} in {members})"
 
-        def evaluate(row: Row) -> bool:
-            v = operand(row)
-            return v is not None and v in values
-
-        return evaluate
-
-    def _key(self):
+    def _key(self) -> tuple[object, ...]:
         return (self.operand, self.values)
 
 
@@ -206,24 +235,19 @@ class And(Expr):
         if not self.parts:
             raise ValueError("AND needs at least one operand")
 
-    def columns(self):
-        names = set()
+    def columns(self) -> set[str]:
+        names: set[str] = set()
         for part in self.parts:
             names |= part.columns()
         return names
 
-    def to_sql(self):
+    def to_sql(self) -> str:
         return " AND ".join(_parenthesize(p) for p in self.parts)
 
-    def compile(self, schema):
-        compiled = [p.compile(schema) for p in self.parts]
+    def _render(self, gen: "_CodeGen") -> str:
+        return f"({' and '.join(gen.truth(p) for p in self.parts)})"
 
-        def evaluate(row: Row) -> bool:
-            return all(c(row) for c in compiled)
-
-        return evaluate
-
-    def _key(self):
+    def _key(self) -> tuple[object, ...]:
         return (self.parts,)
 
 
@@ -237,24 +261,19 @@ class Or(Expr):
         if not self.parts:
             raise ValueError("OR needs at least one operand")
 
-    def columns(self):
-        names = set()
+    def columns(self) -> set[str]:
+        names: set[str] = set()
         for part in self.parts:
             names |= part.columns()
         return names
 
-    def to_sql(self):
+    def to_sql(self) -> str:
         return " OR ".join(_parenthesize(p) for p in self.parts)
 
-    def compile(self, schema):
-        compiled = [p.compile(schema) for p in self.parts]
+    def _render(self, gen: "_CodeGen") -> str:
+        return f"({' or '.join(gen.truth(p) for p in self.parts)})"
 
-        def evaluate(row: Row) -> bool:
-            return any(c(row) for c in compiled)
-
-        return evaluate
-
-    def _key(self):
+    def _key(self) -> tuple[object, ...]:
         return (self.parts,)
 
 
@@ -266,17 +285,16 @@ class Not(Expr):
     def __init__(self, operand: Expr) -> None:
         self.operand = operand
 
-    def columns(self):
+    def columns(self) -> set[str]:
         return self.operand.columns()
 
-    def to_sql(self):
+    def to_sql(self) -> str:
         return f"NOT {_parenthesize(self.operand)}"
 
-    def compile(self, schema):
-        operand = self.operand.compile(schema)
-        return lambda row: not operand(row)
+    def _render(self, gen: "_CodeGen") -> str:
+        return f"(not {gen.render(self.operand)})"
 
-    def _key(self):
+    def _key(self) -> tuple[object, ...]:
         return (self.operand,)
 
 
@@ -284,17 +302,18 @@ class TrueExpr(Expr):
     """Constant true — the predicate of an unfiltered scan."""
 
     __slots__ = ()
+    _leaf = True
 
-    def columns(self):
+    def columns(self) -> set[str]:
         return set()
 
-    def to_sql(self):
+    def to_sql(self) -> str:
         return "1 = 1"
 
-    def compile(self, schema):
-        return lambda row: True
+    def _render(self, gen: "_CodeGen") -> str:
+        return "True"
 
-    def _key(self):
+    def _key(self) -> tuple[object, ...]:
         return ()
 
 
@@ -306,6 +325,88 @@ def _parenthesize(expr: Expr) -> str:
     if isinstance(expr, (And, Or, Not)):
         return f"({expr.to_sql()})"
     return expr.to_sql()
+
+
+class _CodeGen:
+    """Renders one expression tree as the source of Python functions.
+
+    Each node's ``_render`` returns a Python expression over the
+    generated function's locals.  Column values are loaded once per
+    function (``_r<position> = row[<position>]``), literals are bound
+    names, and a comparison whose operand is not a leaf evaluates that
+    operand once through ``:=``.  Subtrees past
+    ``_INLINE_DEPTH`` are queued and emitted as further functions in
+    the same source, so the whole tree costs one ``compile()``.
+    """
+
+    def __init__(self, schema: "TableSchema") -> None:
+        self._schema = schema
+        self._namespace: dict[str, Any] = {"__builtins__": {}}
+        self._serial = 0
+        self._pending: list[tuple[str, Expr]] = []
+        self._loads: dict[int, str] = {}
+        self._depth = 0
+
+    def build(self, expr: Expr) -> RowFunc:
+        """Compile ``expr`` and return its entry function."""
+        entry = self._fresh("_f")
+        self._pending.append((entry, expr))
+        functions = []
+        while self._pending:
+            functions.append(self._function(*self._pending.pop()))
+        code = compile("".join(functions), "<expr>", "exec")
+        exec(code, self._namespace)
+        # Popped so the entry function and its namespace form no cycle.
+        function: RowFunc = self._namespace.pop(entry)
+        return function
+
+    def render(self, expr: Expr) -> str:
+        """Expression text for ``expr`` nested one level deeper."""
+        if self._depth >= _INLINE_DEPTH and not expr._leaf:
+            name = self._fresh("_f")
+            self._pending.append((name, expr))
+            return f"{name}(row)"
+        self._depth += 1
+        text = expr._render(self)
+        self._depth -= 1
+        return text
+
+    def truth(self, expr: Expr) -> str:
+        """Text for ``expr`` as a ``bool`` (an AND/OR part)."""
+        text = self.render(expr)
+        return text if expr._boolean else f"(not not {text})"
+
+    def bind(self, value: object) -> str:
+        """A fresh global name bound to ``value``."""
+        name = self._fresh("_k")
+        self._namespace[name] = value
+        return name
+
+    def column(self, name: str) -> str:
+        """The local holding column ``name`` of the current row."""
+        position = int(self._schema.index_of(name))
+        return self._loads.setdefault(position, f"_r{position}")
+
+    def temp(self) -> str:
+        """A fresh local for an operand assigned with ``:=``."""
+        return self._fresh("_t")
+
+    def _fresh(self, prefix: str) -> str:
+        name = f"{prefix}{self._serial}"
+        self._serial += 1
+        return name
+
+    def _function(self, name: str, expr: Expr) -> str:
+        self._loads = {}
+        self._depth = 0
+        body = self.render(expr)
+        if expr._boolean:
+            body = f"True if {body} else False"
+        loads = "".join(
+            f"    {local} = row[{position}]\n"
+            for position, local in self._loads.items()
+        )
+        return f"def {name}(row):\n{loads}    return {body}\n"
 
 
 # ---------------------------------------------------------------------------

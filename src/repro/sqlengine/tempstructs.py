@@ -45,11 +45,8 @@ def copy_subset_to_table(
     pages = source.pages_touched()
     meter.charge("server_io", model.server_page_io * pages, events=pages)
 
-    qualifying = [
-        row
-        for row in source.scan_rows()
-        if compile_predicate(predicate, source.schema)(row)
-    ]
+    check = compile_predicate(predicate, source.schema)
+    qualifying = [row for row in source.scan_rows() if check(row)]
     table = server.create_table(new_name, source.schema)
     for row in qualifying:
         table.insert(row, validate=False)

@@ -5,15 +5,14 @@ keys are the original Python objects, so an encoding that parses
 ``"1"`` into ``1``, collapses ``None`` into ``0`` or leaks numpy
 scalars back out would silently change counted keys.  These tests pin
 the encoding rules (raw int64 vs dictionary), the zero-copy slicing
-contract, the round trip through the flat shared-memory buffer layout,
-and the heap/cursor scan surfaces built on top.
+contract and the round trip through the flat shared-memory buffer
+layout.
 """
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.common.errors import CursorStateError  # noqa: E402
 from repro.sqlengine.columnar import (  # noqa: E402
     DICT,
     RAW,
@@ -21,11 +20,6 @@ from repro.sqlengine.columnar import (  # noqa: E402
     _encode_column,
     columnar_available,
 )
-from repro.sqlengine.database import SQLServer  # noqa: E402
-from repro.sqlengine.expr import eq  # noqa: E402
-from repro.sqlengine.heap import HeapTable  # noqa: E402
-from repro.sqlengine.pages import Page  # noqa: E402
-from repro.sqlengine.schema import TableSchema  # noqa: E402
 
 
 class TestEncodeColumn:
@@ -171,96 +165,6 @@ class TestBufferRoundTrip:
         # encode time, exactly like a dict-keyed CC table would.
         with pytest.raises(TypeError):
             ColumnarPartition.from_rows([([], 0, 0)])
-
-
-class TestHeapScanColumnar:
-    def _table(self):
-        table = HeapTable(
-            "t", TableSchema.of(("a", "int"), ("b", "int")), page_bytes=32
-        )
-        tids = [table.insert((i, i % 3)) for i in range(20)]
-        return table, tids
-
-    def test_matches_scan_rows(self):
-        table, _ = self._table()
-        decoded = [
-            row
-            for partition in table.scan_columnar(6)
-            for row in partition.rows()
-        ]
-        assert decoded == list(table.scan_rows())
-
-    def test_partition_sizing(self):
-        table, _ = self._table()
-        sizes = [p.n_rows for p in table.scan_columnar(6)]
-        assert sizes == [6, 6, 6, 2]
-
-    def test_tombstones_are_skipped(self):
-        table, tids = self._table()
-        for tid in tids[::2]:
-            table.delete(tid)
-        decoded = [
-            row
-            for partition in table.scan_columnar(4)
-            for row in partition.rows()
-        ]
-        assert decoded == list(table.scan_rows())
-        assert len(decoded) == 10
-
-    def test_bad_partition_rows_rejected(self):
-        table, _ = self._table()
-        with pytest.raises(ValueError):
-            list(table.scan_columnar(0))
-
-    def test_page_live_rows(self):
-        page = Page(capacity=4)
-        page.append((1, 1))
-        page.append((2, 2))
-        page.rows[0] = None  # tombstone
-        assert page.live_rows() == [(2, 2)]
-
-
-class TestForwardCursorPartitions:
-    @pytest.fixture
-    def server(self):
-        server = SQLServer()
-        server.create_table(
-            "t", TableSchema.of(("a", "int"), ("b", "int"))
-        )
-        server.bulk_load("t", [(i % 3, i) for i in range(30)])
-        return server
-
-    def test_partitions_match_rows(self, server):
-        with server.open_cursor("t", eq("a", 1)) as cursor:
-            expected = list(cursor.rows())
-        with server.open_cursor("t", eq("a", 1)) as cursor:
-            decoded = [
-                row
-                for partition in cursor.partitions(4)
-                for row in partition.rows()
-            ]
-        assert decoded == expected
-
-    def test_charges_identical_to_rows(self, server):
-        server.meter.reset()
-        with server.open_cursor("t", eq("a", 0)) as cursor:
-            list(cursor.rows())
-        row_charges = dict(server.meter.charges)
-        server.meter.reset()
-        with server.open_cursor("t", eq("a", 0)) as cursor:
-            list(cursor.partitions(7))
-        assert dict(server.meter.charges) == row_charges
-
-    def test_closed_cursor_rejected(self, server):
-        cursor = server.open_cursor("t")
-        cursor.close()
-        with pytest.raises(CursorStateError):
-            list(cursor.partitions(4))
-
-    def test_bad_partition_rows_rejected(self, server):
-        with server.open_cursor("t") as cursor:
-            with pytest.raises(ValueError):
-                list(cursor.partitions(0))
 
 
 def test_columnar_available_reflects_numpy():

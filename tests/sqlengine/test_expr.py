@@ -166,6 +166,107 @@ class TestBuilders:
         assert predicate((9, 9, "z"))
 
 
+class TestGeneratedSource:
+    """The compiler generates Python source; values must never leak
+    into it, and deep trees must still compile."""
+
+    HOSTILE = [
+        "x) or (True",
+        "' or 1 = 1 --",
+        '"""; import os; """',
+        "line\nbreak",
+        "back\\slash\\",
+        "{row}{0}",
+        "__import__('os')",
+        "",
+    ]
+
+    @pytest.mark.parametrize("text", HOSTILE)
+    def test_string_literal_matches_only_itself(self, text):
+        rows = [(0, 0, text)] + [(0, 0, other) for other in self.HOSTILE
+                                 if other != text] + [(0, 0, None)]
+        for expr in (eq("name", text), InList(col("name"), [text])):
+            assert [run(expr, row) for row in rows] == (
+                [True] + [False] * (len(rows) - 1)
+            )
+        negated = ne("name", text)
+        assert [run(negated, row) for row in rows] == (
+            [False] + [True] * (len(rows) - 2) + [False]
+        )
+
+    @pytest.mark.parametrize("text", HOSTILE)
+    def test_values_are_bound_not_spliced(self, text):
+        check = Or([eq("name", text), InList(col("name"), [text, "y"]),
+                    Comparison(">", lit(text), col("name"))]).compile(SCHEMA)
+        code = check.__code__
+        assert not any(isinstance(c, str) for c in code.co_consts)
+        assert all(name.startswith(("_k", "_f")) for name in code.co_names)
+        assert check.__globals__["__builtins__"] == {}
+
+    def test_hostile_literal_in_ordering_and_column_comparisons(self):
+        text = "x) or (True"
+        expr = Or([Comparison("<", col("name"), lit(text)),
+                   Comparison("=", lit(text), col("name"))])
+        assert run(expr, (0, 0, text))
+        assert run(expr, (0, 0, "a"))  # "a" < "x) ..."
+        assert not run(expr, (0, 0, "z"))
+
+    def test_deep_not_chain(self):
+        expr = eq("a", 1)
+        for _ in range(300):
+            expr = Not(expr)
+        check = expr.compile(SCHEMA)
+        assert check((1, 0, "x")) is True  # an even number of NOTs
+        assert check((2, 0, "x")) is False
+        assert check((None, 0, "x")) is False
+        assert Not(expr).compile(SCHEMA)((None, 0, "x")) is True
+
+    def test_deep_and_chain(self):
+        expr = eq("a", 1)
+        for depth in range(300):
+            expr = And([Comparison("<=", col("b"), lit(depth)), expr])
+        check = expr.compile(SCHEMA)
+        assert check((1, 0, "x")) is True
+        assert check((2, 0, "x")) is False  # fails only at the innermost
+        assert check((1, 1, "x")) is False  # fails only at the outermost
+        assert check((1, None, "x")) is False
+
+    def test_predicates_return_bool(self):
+        for expr in (eq("a", 1), ne("a", 1), Comparison("<", col("a"), col("b")),
+                     InList(col("a"), [1]), And([eq("a", 1), col("b")]),
+                     Or([col("b"), lit(0)]), Not(col("b")), TRUE):
+            for row in ((1, 2, "x"), (None, None, None), (0, 0, "")):
+                assert type(run(expr, row)) is bool
+
+    def test_boolean_operands_evaluate_to_bools(self):
+        # AND/OR/NOT as comparison operands yield True/False, as in SQL,
+        # never the value of their last operand.
+        expr = Comparison("=", And([col("b"), col("a")]), lit(True))
+        assert run(expr, (2, 2, "x")) is True
+        expr = Comparison("=", Or([col("b"), col("a")]), lit(1))
+        assert run(expr, (2, 0, "x")) is True
+
+    def test_operands_evaluated_before_null_check(self):
+        # The right operand raises (1 < 'x'), and it is evaluated even
+        # when the left one is NULL.
+        expr = Comparison("<", col("a"), Comparison("<", lit(1), lit("x")))
+        with pytest.raises(TypeError):
+            run(expr, (None, 0, "x"))
+
+    def test_null_literal_compares_false(self):
+        for op in ("=", "<>", "<", ">="):
+            assert run(Comparison(op, col("a"), lit(None)), (1, 0, "x")) is False
+            assert run(Comparison(op, lit(None), lit(None)), (1, 0, "x")) is False
+
+    def test_only_index_of_is_consulted(self):
+        class Positions:
+            def index_of(self, name):
+                return {"a": 0, "b": 1}[name]
+
+        check = Or([eq("a", 1), ne("b", 1)]).compile(Positions())
+        assert check((1, 1)) and check((0, 0)) and not check((0, 1))
+
+
 class TestEquality:
     def test_structural_equality_and_hash(self):
         assert eq("a", 1) == eq("a", 1)

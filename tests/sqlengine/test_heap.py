@@ -29,6 +29,13 @@ class TestPage:
         page.append((2,))
         assert list(page) == [(1,), (2,)]
 
+    def test_page_live_rows(self):
+        page = Page(capacity=4)
+        page.append((1, 1))
+        page.append((2, 2))
+        page.rows[0] = None  # tombstone
+        assert page.live_rows() == [(2, 2)]
+
 
 class TestRowsPerPage:
     def test_division(self):

@@ -1,11 +1,14 @@
 """Property-based tests for the SQL engine (hypothesis)."""
 
+import operator
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sqlengine.ast_nodes import CountStar, Select, SelectItem
+from repro.sqlengine.ast_nodes import Aggregate, CountStar, Select, SelectItem
 from repro.sqlengine.database import SQLServer
 from repro.sqlengine.expr import (
+    TRUE,
     And,
     ColumnRef,
     Comparison,
@@ -13,6 +16,7 @@ from repro.sqlengine.expr import (
     Literal,
     Not,
     Or,
+    TrueExpr,
     compile_predicate,
 )
 from repro.sqlengine.heap import HeapTable
@@ -22,24 +26,29 @@ from repro.sqlengine.schema import TableSchema
 SCHEMA = TableSchema.of(("a", "int"), ("b", "int"), ("c", "int"))
 
 values = st.integers(min_value=-5, max_value=5)
+#: NULLs, ints and strings mixed in one column.
+mixed_values = st.one_of(
+    st.none(), values, st.sampled_from(["", "x", "y", "5"])
+)
 columns = st.sampled_from(["a", "b", "c"])
 operators = st.sampled_from(["=", "<>", "<", "<=", ">", ">="])
 
 
-def scalars():
+def scalars(literals=values):
     return st.one_of(
         columns.map(ColumnRef),
-        values.map(Literal),
+        literals.map(Literal),
     )
 
 
-def predicates(max_depth=3):
+def predicates(max_depth=3, literals=values):
     base = st.one_of(
-        st.builds(Comparison, operators, scalars(), scalars()),
+        st.builds(Comparison, operators, scalars(literals),
+                  scalars(literals)),
         st.builds(
             InList,
             columns.map(ColumnRef),
-            st.lists(values, min_size=1, max_size=4),
+            st.lists(literals, min_size=1, max_size=4),
         ),
     )
     return st.recursive(
@@ -56,6 +65,69 @@ def predicates(max_depth=3):
 rows_strategy = st.lists(
     st.tuples(values, values, values), min_size=0, max_size=40
 )
+nullable = st.one_of(st.none(), values)
+nullable_rows = st.lists(
+    st.tuples(nullable, nullable, nullable), min_size=0, max_size=30
+)
+mixed_rows = st.lists(
+    st.tuples(mixed_values, mixed_values, mixed_values), max_size=12
+)
+#: Wrapper depths either side of the compiler's inline depth guard.
+depths = st.sampled_from([0, 1, 2, 45, 90])
+
+_OPERATORS = {
+    "=": operator.eq, "<>": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def reference(expr, row):
+    """Evaluate ``expr`` on ``row`` by walking the tree: the oracle.
+
+    Spells out the engine's NULL rules independently of the compiler:
+    a comparison with a NULL operand is False (``<>`` too, and it never
+    reaches an ordering operator), a NULL never matches ``IN``, and
+    ``NOT`` is plain negation.  Both comparison operands are evaluated
+    before the NULL check; AND/OR short-circuit left to right.
+    """
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, ColumnRef):
+        return row[SCHEMA.index_of(expr.name)]
+    if isinstance(expr, TrueExpr):
+        return True
+    if isinstance(expr, Comparison):
+        left = reference(expr.left, row)
+        right = reference(expr.right, row)
+        if left is None or right is None:
+            return False
+        return _OPERATORS[expr.op](left, right)
+    if isinstance(expr, InList):
+        value = reference(expr.operand, row)
+        return value is not None and value in expr.values
+    if isinstance(expr, And):
+        return all(reference(part, row) for part in expr.parts)
+    if isinstance(expr, Or):
+        return any(reference(part, row) for part in expr.parts)
+    if isinstance(expr, Not):
+        return not reference(expr.operand, row)
+    raise TypeError(f"no reference rule for {expr!r}")
+
+
+def outcome(evaluate, row):
+    """``evaluate(row)``, or the TypeError an ordering of mixed types
+    raises — both sides must agree on which."""
+    try:
+        return "value", evaluate(row)
+    except TypeError:
+        return "raises", None
+
+
+def nest(predicate, depth):
+    """Wrap ``predicate`` ``depth`` levels deep in AND/NOT pairs."""
+    for level in range(depth):
+        predicate = Not(predicate) if level % 2 else And([predicate, TRUE])
+    return predicate
 
 
 class TestExpressionProperties:
@@ -85,6 +157,47 @@ class TestExpressionProperties:
         evaluated = [compile_predicate(p, SCHEMA)(row) for p in parts]
         assert conj == all(evaluated)
         assert disj == any(evaluated)
+
+
+class TestCompiledMatchesReference:
+    @given(predicates(literals=mixed_values), mixed_rows, depths)
+    @settings(max_examples=300, deadline=None)
+    def test_predicate_matches_reference(self, predicate, rows, depth):
+        predicate = nest(predicate, depth)
+        compiled = compile_predicate(predicate, SCHEMA)
+        for row in rows:
+            got = outcome(compiled, row)
+            assert got == outcome(lambda r: reference(predicate, r), row)
+            if got[0] == "value":
+                assert type(got[1]) is bool
+
+    @given(predicates(literals=st.one_of(st.none(), values)),
+           nullable_rows, depths)
+    @settings(max_examples=80, deadline=None)
+    def test_select_items_and_aggregates_match_reference(
+            self, predicate, rows, depth):
+        predicate = nest(predicate, depth)
+        server = SQLServer()
+        server.create_table("t", SCHEMA)
+        server.bulk_load("t", rows)
+        kept = [row for row in rows if reference(predicate, row)]
+
+        items = [SelectItem(ColumnRef("c")), SelectItem(Literal(7), "k"),
+                 SelectItem(ColumnRef("a"))]
+        result = server.execute(Select(items, "t", where=predicate))
+        assert result.rows == [(row[2], 7, row[0]) for row in kept]
+
+        aggregates = [
+            SelectItem(Aggregate(func, ColumnRef("b")), func.lower())
+            for func in ("SUM", "MIN", "MAX")
+        ]
+        result = server.execute(Select(aggregates, "t", where=predicate))
+        present = [row[1] for row in kept if row[1] is not None]
+        assert result.rows == [(
+            sum(present) if present else None,
+            min(present) if present else None,
+            max(present) if present else None,
+        )]
 
 
 class TestHeapProperties:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sqlengine import tempstructs
 from repro.sqlengine.database import SQLServer
 from repro.sqlengine.expr import all_of, eq
 from repro.sqlengine.schema import TableSchema
@@ -31,6 +32,19 @@ class TestCopySubset:
         name = copy_subset_to_table(server, "t", eq("a", 1), new_name="sub")
         assert name == "sub"
         assert server.database.has_table("sub")
+
+    def test_compiles_predicate_once(self, server, monkeypatch):
+        calls = []
+        original = tempstructs.compile_predicate
+
+        def counting(predicate, schema):
+            calls.append(predicate)
+            return original(predicate, schema)
+
+        monkeypatch.setattr(tempstructs, "compile_predicate", counting)
+        name = copy_subset_to_table(server, "t", eq("a", 1))
+        assert server.table(name).row_count == 10
+        assert len(calls) == 1  # not once per source row (40)
 
     def test_charges_scan_and_writes(self, server):
         server.meter.reset()
