@@ -29,18 +29,6 @@ warm run's mean per-scan setup seconds must come in below the cold
 baseline (enforced on >= ``MIN_CORES``-core machines, reported
 elsewhere).
 
-A third A/B guards the table-version columnar cache ("encode once,
-scan every level"): one multi-level SERVER fit — the root scan plus
-``CACHE_FIT_LEVELS - 1`` frontier passes over the same server table,
-staging disabled — runs once cold (``scan_columnar_cache=False``,
-re-encoding every level) and once warm.  Both runs must reproduce the
-reference CC tables; the warm run records per-level wall/encode
-seconds, ``cache_hits``/``cache_misses`` and the
-``encode_seconds_saved``/``ship_seconds_saved`` counters, and on
-non-smoke runs every warm level after the first must be a cache hit
-reporting near-zero ``encode_seconds`` (the benchmark exits non-zero
-otherwise).
-
 Results land in ``benchmarks/results/parallel_scan.txt`` (human) and
 ``benchmarks/results/BENCH_scan.json`` (machine-readable trajectory).
 
@@ -68,11 +56,9 @@ except ImportError:  # standalone run from the repo root
 from bench_scan_kernel import REPEATS, SPLIT_ATTRIBUTE, build_frontier
 
 from repro.bench.harness import update_bench_json, write_report
-from repro.client.baselines import build_cc_from_rows
 from repro.common.text import render_table
 from repro.core.config import MiddlewareConfig
 from repro.core.middleware import Middleware
-from repro.core.requests import CountsRequest
 from repro.datagen.agrawal import AgrawalConfig, agrawal_spec, generate_agrawal_rows
 from repro.datagen.loader import load_dataset
 from repro.sqlengine.database import SQLServer
@@ -86,11 +72,6 @@ MIN_CORES = 4
 DEFAULT_ROWS = 100_000
 #: Worker counts A/B'd against the inline one-worker loop.
 DEFAULT_WORKER_COUNTS = (1, 2, 4, 8)
-#: Scan levels in the columnar-cache fit (root + frontier passes).
-CACHE_FIT_LEVELS = 4
-#: "Near-zero" bound on a warm level's encode_seconds (hits skip the
-#: encode entirely, so anything measurable means a re-encode happened).
-CACHE_ENCODE_EPSILON = 1e-6
 
 
 def _usable_cores():
@@ -211,88 +192,6 @@ def pool_lifecycle_ab(spec, rows, frontier, workers, pool):
     return profiles
 
 
-def columnar_cache_ab(spec, rows, frontier, workers, pool):
-    """Warm (table-version cache) vs cold (re-encode) multi-level fit.
-
-    Every level is one parallel scan over the *same* server table:
-    level 0 counts the root, levels 1..``CACHE_FIT_LEVELS - 1`` each
-    count the whole frontier batch.  Staging is disabled, so nothing
-    is memoised between levels except the cache under test — the cold
-    run pays the columnar encode every level, the warm run encodes on
-    level 0 and serves every later level from the version-keyed
-    entry (and, on the process pool, from the persistent shared-memory
-    segment).  Both runs must reproduce the reference CC tables.
-    """
-    attributes = tuple(spec.attribute_names)
-    root_reference = build_cc_from_rows(rows, spec, attributes)
-    profiles = {}
-    for label, cache_on in (("cold", False), ("warm", True)):
-        server = SQLServer()
-        load_dataset(server, "data", spec, rows)
-        config = MiddlewareConfig.no_staging(
-            16_000_000,
-            scan_kernel=True,
-            scan_workers=workers,
-            scan_pool=pool,
-            scan_parallel_min_rows=0,
-            scan_columnar_cache=cache_on,
-        )
-        levels = []
-        results = {}
-        with Middleware(server, "data", spec, config) as mw:
-            for level in range(CACHE_FIT_LEVELS):
-                if level == 0:
-                    mw.queue_request(
-                        CountsRequest(
-                            node_id="root",
-                            lineage=("root",),
-                            conditions=(),
-                            attributes=attributes,
-                            n_rows=len(rows),
-                            est_cc_pairs=root_reference.n_pairs,
-                        )
-                    )
-                else:
-                    mw.queue_requests(request for request, _ in frontier)
-                while mw.pending:
-                    for result in mw.process_next_batch():
-                        results[result.node_id] = result
-                    scan = mw.execution.last_scan
-                    levels.append(
-                        {
-                            "wall_seconds": scan.wall_seconds,
-                            "encode_seconds": scan.encode_seconds,
-                            "ship_seconds": scan.ship_seconds,
-                            "cached": scan.cached,
-                            "cache_hit": scan.cache_hit,
-                        }
-                    )
-            stats = mw.execution.stats
-            cache = mw.execution.scan_cache
-            profiles[label] = {
-                "levels": levels,
-                "wall_seconds": sum(l["wall_seconds"] for l in levels),
-                "encode_seconds": sum(l["encode_seconds"] for l in levels),
-                "ship_seconds": sum(l["ship_seconds"] for l in levels),
-                "cache_hits": stats.cache_hits,
-                "cache_misses": stats.cache_misses,
-                "encode_seconds_saved": stats.encode_seconds_saved,
-                "ship_seconds_saved": stats.ship_seconds_saved,
-                "resident_bytes":
-                    0 if cache is None else cache.resident_bytes,
-            }
-        assert results["root"].cc == root_reference, label
-        for request, reference in frontier:
-            assert results[request.node_id].cc == reference, \
-                (label, request.node_id)
-    warm, cold = profiles["warm"], profiles["cold"]
-    warm["wall_speedup"] = (
-        cold["wall_seconds"] / warm["wall_seconds"]
-        if warm["wall_seconds"] > 0.0 else 0.0
-    )
-    return profiles
-
-
 def check_equivalence(frontier, results_by_label):
     """Every configuration must reproduce the reference counts."""
     for label, results in results_by_label.items():
@@ -324,7 +223,6 @@ def run_ab(n_rows=DEFAULT_ROWS, pool="process",
 
     ab_workers = max(w for w in worker_counts if w <= 4)
     pool_ab = pool_lifecycle_ab(spec, rows, frontier, ab_workers, pool)
-    cache_ab = columnar_cache_ab(spec, rows, frontier, ab_workers, pool)
 
     return {
         "n_rows": n_rows,
@@ -335,7 +233,6 @@ def run_ab(n_rows=DEFAULT_ROWS, pool="process",
         "ladder": ladder,
         "pool_ab_workers": ab_workers,
         "pool_ab": pool_ab,
-        "cache_ab": cache_ab,
     }
 
 
@@ -401,39 +298,12 @@ def report(comparison):
             f"{comparison['pool']} pool)"
         ),
     )
-    cache_rows = [
-        [
-            label,
-            f"{len(profile['levels'])}",
-            f"{profile['wall_seconds']:.4f}",
-            f"{profile['encode_seconds']:.4f}",
-            f"{profile['ship_seconds']:.4f}",
-            f"{profile['cache_hits']}/{profile['cache_misses']}",
-            f"{profile['encode_seconds_saved']:.4f}",
-        ]
-        for label, profile in comparison["cache_ab"].items()
-    ]
-    cache_table = render_table(
-        ["columnar cache", "levels", "wall (s)", "encode (s)",
-         "ship (s)", "hits/misses", "encode saved (s)"],
-        cache_rows,
-        title=(
-            f"Table-version columnar cache: {CACHE_FIT_LEVELS}-level "
-            f"SERVER fit, warm vs cold re-encode "
-            f"({comparison['pool_ab_workers']} workers, "
-            f"{comparison['pool']} pool, "
-            f"{comparison['cache_ab']['warm']['wall_speedup']:.2f}x "
-            f"warm wall speedup)"
-        ),
-    )
     return (
         table
         + "\n\nCC tables identical across all configurations.\n"
         + floor_note
         + "\n\n"
         + pool_table
-        + "\n\n"
-        + cache_table
     )
 
 
@@ -465,36 +335,6 @@ def floor_status(comparison, smoke=False):
         "skip_reason": skip_reason,
         "speedup_at_4_workers":
             four["speedup"] if four is not None else None,
-    }
-
-
-def cache_floor_status(comparison, smoke=False):
-    """Why the warm-cache floor was (not) enforced, machine-readably.
-
-    The floor: in the warm run, every level after the first must be a
-    cache hit reporting near-zero ``encode_seconds`` — the whole point
-    of the cache is that a multi-level fit encodes the table once.
-    Smoke runs and environments where the cache never engaged (numpy
-    missing) record an explicit ``skip_reason`` instead.
-    """
-    warm = comparison["cache_ab"]["warm"]
-    if smoke:
-        skip_reason = "smoke run: CC-equivalence only, no cache floor"
-    elif not any(level["cached"] for level in warm["levels"]):
-        skip_reason = "columnar cache never engaged (numpy unavailable)"
-    else:
-        skip_reason = None
-    later = warm["levels"][1:]
-    return {
-        "encode_epsilon": CACHE_ENCODE_EPSILON,
-        "enforced": skip_reason is None,
-        "skip_reason": skip_reason,
-        "warm_levels_after_first": len(later),
-        "warm_hits_after_first":
-            sum(1 for level in later if level["cache_hit"]),
-        "max_warm_encode_seconds_after_first":
-            max((level["encode_seconds"] for level in later),
-                default=0.0),
     }
 
 
@@ -538,28 +378,6 @@ def record_json(comparison, smoke=False):
                     for label, profile in comparison["pool_ab"].items()
                 },
             },
-            "columnar_cache": {
-                "levels": CACHE_FIT_LEVELS,
-                "workers": comparison["pool_ab_workers"],
-                **{
-                    label: {
-                        "wall_seconds": profile["wall_seconds"],
-                        "encode_seconds": profile["encode_seconds"],
-                        "ship_seconds": profile["ship_seconds"],
-                        "cache_hits": profile["cache_hits"],
-                        "cache_misses": profile["cache_misses"],
-                        "encode_seconds_saved":
-                            profile["encode_seconds_saved"],
-                        "ship_seconds_saved":
-                            profile["ship_seconds_saved"],
-                        "resident_bytes": profile["resident_bytes"],
-                    }
-                    for label, profile in comparison["cache_ab"].items()
-                },
-                "wall_speedup":
-                    comparison["cache_ab"]["warm"]["wall_speedup"],
-                "floor": cache_floor_status(comparison, smoke),
-            },
             "floor": floor_status(comparison, smoke),
             "cpu_count": comparison["cores"],
         },
@@ -590,32 +408,8 @@ def main(argv=None):
     floor = floor_status(comparison, smoke=args.smoke)
     if floor["skip_reason"] is not None:
         print(f"speedup floor skipped: {floor['skip_reason']}")
-    cache_floor = cache_floor_status(comparison, smoke=args.smoke)
-    if cache_floor["skip_reason"] is not None:
-        print(f"cache floor skipped: {cache_floor['skip_reason']}")
     if args.smoke:
         return 0  # equivalence already asserted in run_ab
-    if cache_floor["enforced"]:
-        misses = (cache_floor["warm_levels_after_first"]
-                  - cache_floor["warm_hits_after_first"])
-        if misses > 0:
-            print(
-                f"FAIL: {misses} warm level(s) after the first missed "
-                "the columnar cache (expected every later level to "
-                "reuse the level-0 encoding)",
-                file=sys.stderr,
-            )
-            return 1
-        worst = cache_floor["max_warm_encode_seconds_after_first"]
-        if worst > CACHE_ENCODE_EPSILON:
-            print(
-                f"FAIL: warm level re-encoded for {worst:.6f}s "
-                f"(> {CACHE_ENCODE_EPSILON:.0e}s); the table-version "
-                "cache should make every level after the first free "
-                "of encode work",
-                file=sys.stderr,
-            )
-            return 1
     four = comparison["ladder"].get(4)
     if floor["enforced"] and four is not None \
             and four["speedup"] < MIN_PARALLEL_SPEEDUP:

@@ -20,8 +20,8 @@ to ask those questions:
   .scan_rows`` without importing anything;
 * **a call graph with bounded reachability** — one node per module
   -level function or method (nested functions and lambdas fold into
-  their enclosing node, which matches how closures like the columnar
-  cache's ``charge_scan`` actually execute), edges only where
+  their enclosing node, which matches how closures actually execute:
+  as part of the function that defines them), edges only where
   resolution *succeeded*, plus BFS ``reachable``/``find_path``
   queries with a depth bound.
 

@@ -47,8 +47,8 @@ def is_charge_call(node: ast.Call) -> bool:
 def charge_calls(node: ast.AST) -> Iterator[ast.Call]:
     """Charge calls lexically under ``node``, nested defs included.
 
-    Nested defs count because closures like the columnar cache's
-    ``charge_scan`` execute as part of their enclosing plan function.
+    Nested defs count because a closure's charges execute as part of
+    the function that defines it.
     """
     for child in ast.walk(node):
         if isinstance(child, ast.Call) and is_charge_call(child):

@@ -1,23 +1,22 @@
 """Rule: declared twin paths must charge the same category multiset.
 
-The engine keeps growing pairs of code paths that *must* cost the
-same: streaming rows vs the columnar cached plan, a cold staged-file
-scan vs its warm ``charge_cached_read`` replay, an index fetch through
-the planner vs through the auxiliary strategy.  PR 7 and PR 8 both
-enforce this at runtime with meter-equality tests — but only for the
-pairs somebody remembered to test.  The ``#: meter parity with``
+The engine has pairs of code paths that *must* cost the same: a
+staged file read row by row vs as int32 blocks for the columnar
+counting loop, an index fetch through the planner vs through the
+auxiliary strategy.  Runtime meter-equality tests enforce this — but
+only for the pairs somebody remembered to test.  The ``#: meter parity with``
 declaration (parsed by the same :class:`ContractRegistry` the runtime
 sanitizer uses, see :mod:`repro.analysis.runtime.contracts`) makes the
 pairing explicit at the definition site, and this rule checks it
 structurally on every run::
 
-    #: meter parity with ForwardCursor.rows
-    def partitions(self, ...):
+    #: meter parity with StagedFile.scan
+    def scan_blocks(self):
         ...
 
 The declaring function's **literal charge-category multiset**
-(nested closures included — plan builders charge from inner
-functions) must equal the *union* multiset of its targets
+(nested closures included — a closure's charges run as part of its
+enclosing function) must equal the *union* multiset of its targets
 (``A + B`` sums the targets' multisets).  The comparison is lexical,
 not transitive: it counts the categories each function charges
 itself, which is exactly what the runtime meter-equality tests pin

@@ -15,9 +15,9 @@ not to every caller above it.  For each entry the rule demands, within
 the entry's reachable set:
 
 * a **version-counter bump** — an assignment/augassign to a
-  ``self.*version*`` attribute.  Version counters are also how the
-  version-keyed :class:`StatisticsCatalog` and the columnar cache
-  notice staleness, so this one hook carries two invariants;
+  ``self.*version*`` attribute.  The version counter is also how the
+  version-keyed :class:`StatisticsCatalog` notices staleness, so this
+  one hook carries two invariants;
 * a **statistics update** — satisfied by the version bump (the
   catalogs are version-keyed) or by an explicit ``invalidate*`` call;
 * **index maintenance**, both halves: the physical half (a ``for ...

@@ -40,8 +40,8 @@ GUARD_DECLARATION = re.compile(r"#:?\s*guarded by\s+self\.(\w+)")
 #: The meter-parity declaration, written on the comment line directly
 #: above a ``def``::
 #:
-#:     #: meter parity with ForwardCursor.rows
-#:     def partitions(self, ...): ...
+#:     #: meter parity with StagedFile.scan
+#:     def scan_blocks(self): ...
 #:
 #: Multiple targets compose with ``+`` (the declaring function must
 #: charge the *union* multiset)::

@@ -151,18 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--no-scan-adaptive-partitions", action="store_true",
                      help="pin the static partition-sizing policy "
                           "instead of adapting from worker timings")
-    fit.add_argument("--no-scan-columnar-cache", action="store_true",
-                     help="re-encode every parallel scan instead of "
-                          "reusing table-version-keyed columnar "
-                          "encodings")
-    fit.add_argument("--scan-cache-bytes", type=int, default=None,
-                     help="byte budget for resident cached columnar "
-                          "encodings (default: 128 MiB; 0 disables "
-                          "caching)")
-    fit.add_argument("--no-scan-persistent-shm", action="store_true",
-                     help="re-ship cached encodings to process workers "
-                          "every scan instead of keeping one "
-                          "shared-memory segment alive per entry")
     fit.add_argument("--no-scan-use-planner", action="store_true",
                      help="strip the index candidate from the auto "
                           "strategy's access-path planner (the blind "
@@ -272,12 +260,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         scan_options["scan_shared_memory"] = False
     if args.no_scan_adaptive_partitions:
         scan_options["scan_adaptive_partitions"] = False
-    if args.no_scan_columnar_cache:
-        scan_options["scan_columnar_cache"] = False
-    if args.scan_cache_bytes is not None:
-        scan_options["scan_cache_bytes"] = args.scan_cache_bytes
-    if args.no_scan_persistent_shm:
-        scan_options["scan_persistent_shm"] = False
     if args.no_scan_use_planner:
         scan_options["scan_use_planner"] = False
     if args.file_split_threshold is not None:

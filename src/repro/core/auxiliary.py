@@ -44,13 +44,6 @@ from ..sqlengine.expr import (
 )
 from ..sqlengine.planner import AccessPlan, plan_access_path
 from ..sqlengine.tempstructs import TIDList, copy_subset_to_table
-from .columnar_cache import (
-    ColumnarScanPlan,
-    index_fetch_plan,
-    keyset_fetch_plan,
-    plain_table_plan,
-    tid_join_plan,
-)
 
 
 @dataclass(frozen=True)
@@ -142,19 +135,6 @@ class ServerAccessStrategy:
         """
         raise NotImplementedError
 
-    def plan_columnar(self, predicate: Any,
-                      relevant_rows: int) -> ColumnarScanPlan | None:
-        """A cacheable columnar plan for this scan, or None.
-
-        The plan must make exactly the same build / reuse / fall-back
-        decision :meth:`rows` would make for the same arguments —
-        including eagerly (re)building an auxiliary structure — and
-        carry meter charges identical to the streaming scan's, so the
-        executor can swap freely between the two paths.  ``None`` means
-        the strategy has no cacheable form and the executor streams.
-        """
-        return None
-
     def close(self) -> None:
         """Release any server-side structures."""
 
@@ -172,30 +152,21 @@ class PlainScanStrategy(ServerAccessStrategy):
         self._server = server
         self._table_name = table_name
 
-    def _record_seq(self) -> None:
-        table = self._server.table(self._table_name)
-        self.last_choice = AccessChoice(
-            "seq", _seq_scan_estimate(self._server, table)
-        )
-
     def rows(
         self,
         predicate: Any,
         relevant_rows: int,
         covered_by_build: Callable[[], bool] | None = None,
     ) -> Iterator[Any]:
-        self._record_seq()
+        table = self._server.table(self._table_name)
+        self.last_choice = AccessChoice(
+            "seq", _seq_scan_estimate(self._server, table)
+        )
         return self._scan(predicate)
 
     def _scan(self, predicate: Any) -> Iterator[Any]:
         with self._server.open_cursor(self._table_name, predicate) as cursor:
             yield from cursor.rows()
-
-    def plan_columnar(self, predicate: Any,
-                      relevant_rows: int) -> ColumnarScanPlan | None:
-        self._record_seq()
-        table = self._server.table(self._table_name)
-        return plain_table_plan(self._server, table, predicate)
 
 
 class _ThresholdStrategy(ServerAccessStrategy):
@@ -247,34 +218,6 @@ class _ThresholdStrategy(ServerAccessStrategy):
         self._record_structure()
         return self._scan_structure(predicate)
 
-    def plan_columnar(self, predicate: Any,
-                      relevant_rows: int) -> ColumnarScanPlan | None:
-        """The same build / reuse / plain-scan decision as :meth:`rows`.
-
-        A below-threshold uncovered batch (re)builds the structure
-        *here*, with the same ``free_build`` accounting as the
-        streaming path — so if the executor later declines the plan
-        (cache gate), :meth:`rows` will find the structure built and
-        covered and scan it, never building twice.
-        """
-        table = self._server.table(self._table_name)
-        total = max(1, table.row_count)
-        fraction = relevant_rows / total
-
-        covered = self._built and predicate_covers(
-            self._built_predicate, predicate
-        )
-        if not covered:
-            if fraction <= self._threshold:
-                self._rebuild(predicate, relevant_rows)
-            else:
-                self.last_choice = AccessChoice(
-                    "seq", _seq_scan_estimate(self._server, table)
-                )
-                return plain_table_plan(self._server, table, predicate)
-        self._record_structure()
-        return self._plan_structure(predicate)
-
     def _record_structure(self) -> None:
         self.last_choice = AccessChoice(
             self._structure_path, self._serve_estimate()
@@ -283,10 +226,6 @@ class _ThresholdStrategy(ServerAccessStrategy):
     def _serve_estimate(self) -> float:
         """Estimated access charges of one structure-served scan."""
         return 0.0
-
-    def _plan_structure(self, predicate: Any) -> ColumnarScanPlan | None:
-        """A cacheable plan over the built structure (or None)."""
-        return None
 
     def _plain_scan(self, predicate: Any) -> Iterator[Any]:
         with self._server.open_cursor(self._table_name, predicate) as cursor:
@@ -340,13 +279,6 @@ class TempTableStrategy(_ThresholdStrategy):
         with self._server.open_cursor(self._temp_name, predicate) as cursor:
             yield from cursor.rows()
 
-    def _plan_structure(self, predicate: Any) -> ColumnarScanPlan | None:
-        # Temp tables are ordinary tables: the plain plan applies, and
-        # keying by (temp name, version) is safe because rebuilt
-        # structures get fresh temp names.
-        temp = self._server.table(self._temp_name)
-        return plain_table_plan(self._server, temp, predicate)
-
     def _teardown(self) -> None:
         super()._teardown()
         if self._temp_name and self._server.database.has_table(self._temp_name):
@@ -374,13 +306,6 @@ class TIDJoinStrategy(_ThresholdStrategy):
     def _scan_structure(self, predicate: Any) -> Iterator[Any]:
         yield from self._tids.fetch(predicate)
 
-    def _plan_structure(self, predicate: Any) -> ColumnarScanPlan | None:
-        table = self._server.table(self._table_name)
-        return tid_join_plan(
-            self._server, table, self._tids.tids,
-            self._built_predicate, predicate,
-        )
-
     def _teardown(self) -> None:
         super()._teardown()
         self._tids = None
@@ -407,13 +332,6 @@ class KeysetStrategy(_ThresholdStrategy):
 
     def _scan_structure(self, predicate: Any) -> Iterator[Any]:
         yield from self._cursor.fetch(predicate)
-
-    def _plan_structure(self, predicate: Any) -> ColumnarScanPlan | None:
-        table = self._server.table(self._table_name)
-        return keyset_fetch_plan(
-            self._server, table, self._cursor.tids,
-            self._built_predicate, predicate,
-        )
 
     def _teardown(self) -> None:
         super()._teardown()
@@ -522,30 +440,6 @@ class PlannedScanStrategy(ServerAccessStrategy):
             return iter(self._tids.fetch(predicate))
         self.last_choice = AccessChoice("seq", cost)
         return self._plain_scan(predicate)
-
-    def plan_columnar(self, predicate: Any,
-                      relevant_rows: int) -> ColumnarScanPlan | None:
-        """The same choice as :meth:`rows`, as a meter-identical plan."""
-        path, cost, plan = self._choose(predicate, relevant_rows)
-        server = self._server
-        table = server.table(self._table_name)
-        if path == "index":
-            assert plan is not None
-            self.last_choice = AccessChoice("index", cost, plan.describe())
-            return index_fetch_plan(server, table, plan, predicate)
-        if path in ("tid_serve", "tid_build"):
-            if path == "tid_build":
-                self._rebuild(predicate)
-            self.last_choice = AccessChoice(
-                "tid_join", server.model.tid_join_row * len(self._tids),
-                f"tids={len(self._tids)}"
-            )
-            return tid_join_plan(
-                server, table, self._tids.tids,
-                self._built_predicate, predicate,
-            )
-        self.last_choice = AccessChoice("seq", cost)
-        return plain_table_plan(server, table, predicate)
 
     def _index_rows(self, plan: AccessPlan,
                     predicate: Any) -> Iterator[Any]:

@@ -135,23 +135,6 @@ class MiddlewareConfig:
     #: partitions refine it.  False pins the static ~2-per-worker
     #: policy.
     scan_adaptive_partitions: bool = True
-    #: Cache full-source columnar encodings keyed by table version
-    #: ("encode once, scan every level"): a parallel scan of an
-    #: unchanged source reuses the encoding instead of re-encoding it,
-    #: and with a process pool reuses its persistent shared-memory
-    #: segment instead of re-shipping.  False streams every scan — the
-    #: cold baseline the cache benchmark compares against.
-    scan_columnar_cache: bool = True
-    #: Byte budget for resident cached encodings (real process bytes,
-    #: accounted from the flat segment layout like the staging budgets;
-    #: LRU-evicted).  An encoding that cannot fit is used once and
-    #: dropped; 0 disables caching outright.
-    scan_cache_bytes: int = 128 * 1024 * 1024
-    #: Keep each cached encoding's shared-memory segment alive across
-    #: scans (process pools only): workers re-attach by generation
-    #: instead of receiving a fresh copy per scan.  False ships the
-    #: cached encoding per scan as ordinary pickled slices.
-    scan_persistent_shm: bool = True
     #: Let ``aux_strategy="auto"`` consult the engine's cost-based
     #: access-path planner, adding secondary-index probes to its
     #: candidate set.  False removes the index candidate — the blind
@@ -193,8 +176,6 @@ class MiddlewareConfig:
             raise MiddlewareError(
                 "scan_prefetch_partitions must be non-negative"
             )
-        if self.scan_cache_bytes < 0:
-            raise MiddlewareError("scan_cache_bytes must be non-negative")
 
     @classmethod
     def no_staging(cls, memory_bytes: int,

@@ -31,9 +31,11 @@ more workers it fans out to the session's persistent
 :class:`~repro.core.scan_pool.ScanWorkerPool`, which counts
 partitions into *private* partials that the coordinator merges in
 partition order (CC tables are additive, so disjoint partials merge
-exactly); pooled SERVER scans prefetch on a bounded producer thread,
-staged rows go through a threaded staging writer, and large scans may
-count over the table-version columnar cache.  Staged files come out
+exactly); pooled SERVER scans prefetch on a bounded producer thread
+and staged rows go through a threaded staging writer.  Every scan
+encodes its source afresh: SERVER rows as the cursor yields them,
+staged FILE blocks as they are read, and MEMORY sets from the one
+encoding staging keeps beside the rows.  Staged files come out
 bit-identical for any worker count.
 
 Every scan records profiling counters on :class:`ScanStats` — wall
@@ -76,14 +78,8 @@ from typing import Any, Callable, Iterator, Sequence
 
 from ..common.errors import MiddlewareError
 from ..common.locks import new_lock, resource_closed, resource_created
-from ..sqlengine.columnar import ColumnarPartition, columnar_available, np
-from ..sqlengine.expr import TrueExpr
+from ..sqlengine.columnar import ColumnarPartition, np
 from .cc_table import CCTable
-from .columnar_cache import (
-    ColumnarScanCache,
-    ColumnarScanPlan,
-    staged_file_plan,
-)
 from .filters import RoutingKernel, batch_filter
 from .requests import CountsResult
 from .scan_pool import ScanWorkerPool, _count_partition
@@ -97,12 +93,7 @@ from .staging import (
     PipelinedStagingWriter,
     StagedFile,
 )
-from .vector_kernel import (
-    MAX_SLOTS,
-    count_partition_columnar,
-    filter_supported,
-    fold_payload,
-)
+from .vector_kernel import MAX_SLOTS, count_partition_columnar, fold_payload
 
 
 @dataclass
@@ -145,21 +136,11 @@ class ScanStats:
     #: vectorized kernel) instead of row tuples.
     columnar: bool = False
     #: Wall-clock seconds encoding rows into columnar partitions
-    #: (0.0 for row-tuple scans, and ~0 on a warm cache hit).
+    #: (0.0 for row-tuple scans).
     encode_seconds: float = 0.0
     #: Wall-clock seconds copying partitions into shared-memory
     #: segments (the memcpy only; encoding is ``encode_seconds``).
     ship_seconds: float = 0.0
-    #: True when the scan ran over the table-version columnar cache
-    #: (hit or miss); False for the streaming paths.
-    cached: bool = False
-    #: True when the cache served an existing encoding (no re-encode,
-    #: and with persistent shm no re-ship either).
-    cache_hit: bool = False
-    #: What building the hit entry originally cost — the work this
-    #: scan skipped (0.0 on misses and uncached scans).
-    encode_seconds_saved: float = 0.0
-    ship_seconds_saved: float = 0.0
     #: Rows per partition of this scan (0 = the per-row oracle).
     partition_rows: int = 0
     #: Highest prefetch depth the producer adapted to (>= the
@@ -207,11 +188,6 @@ class ExecutionStats:
     columnar_scans: int = 0
     encode_seconds: float = 0.0
     ship_seconds: float = 0.0
-    cached_scans: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    encode_seconds_saved: float = 0.0
-    ship_seconds_saved: float = 0.0
     #: SERVER scans whose access path was a secondary-index probe.
     index_path_scans: int = 0
 
@@ -245,11 +221,6 @@ class ExecutionStats:
         self.columnar_scans += scan.columnar
         self.encode_seconds += scan.encode_seconds
         self.ship_seconds += scan.ship_seconds
-        self.cached_scans += scan.cached
-        self.cache_hits += scan.cache_hit
-        self.cache_misses += scan.cached and not scan.cache_hit
-        self.encode_seconds_saved += scan.encode_seconds_saved
-        self.ship_seconds_saved += scan.ship_seconds_saved
         self.index_path_scans += scan.access_path == "index"
 
     @property
@@ -331,7 +302,7 @@ def _columnar_slices(row_iter: Iterator[Any], partition_rows: int,
 def _columnar_memory_slices(table: ColumnarPartition,
                             partition_rows: int,
                             ) -> Iterator[ColumnarPartition]:
-    """Zero-copy partition views over a cached in-memory encoding."""
+    """Zero-copy partition views over a memory set's encoding."""
     for start in range(0, table.n_rows, partition_rows):
         yield table.slice(start, start + partition_rows)
 
@@ -613,32 +584,19 @@ class ExecutionModule:
         self._sizer = _PartitionSizer(
             config.scan_chunk_rows, config.scan_adaptive_partitions
         )
-        #: Table-version columnar cache ("encode once, scan every
-        #: level"); None when disabled or numpy is unavailable.
-        self._scan_cache: ColumnarScanCache | None = None
-        if config.scan_columnar_cache and columnar_available():
-            self._scan_cache = ColumnarScanCache(config.scan_cache_bytes)
-            # Staged files are immutable once sealed, so the only
-            # invalidation they need is drop-time eviction.
-            staging.add_drop_listener(self._scan_cache.on_file_dropped)
         self.stats = ExecutionStats()
         #: The :class:`ScanStats` of the most recent :meth:`run`.
         self.last_scan: ScanStats | None = None
 
     @property
-    def scan_cache(self) -> ColumnarScanCache | None:
-        """The session's columnar scan cache (observability / tests)."""
-        return self._scan_cache
+    def scan_cache(self) -> None:
+        """Always None: there is no scan cache.
 
-    def close(self) -> None:
-        """Release the scan cache and its persistent shm segments.
-
-        Called by the middleware after the worker pool is closed (so no
-        worker still holds an attachment) and before staging teardown.
-        Idempotent.
+        Kept only because the fit benchmark's ``public_counters``
+        (``fitbench/runner.py``) reads it on every fit; delete it
+        together with that read.
         """
-        if self._scan_cache is not None:
-            self._scan_cache.close()
+        return None
 
     def run(self, schedule: Any) -> tuple[list[CountsResult], list[Any]]:
         """Execute one schedule.
@@ -658,19 +616,11 @@ class ExecutionModule:
         try:
             if self._config.scan_kernel:
                 workers = self._parallel_workers(schedule)
-                partition_rows = self._partition_rows(schedule, workers)
-                plan = self._cache_plan(schedule) if workers > 1 else None
-                if plan is not None:
-                    self._count_cached_columnar(
-                        schedule, plan, states, file_writers,
-                        memory_capture, scan, workers, partition_rows,
-                    )
-                else:
-                    self._count_partitioned(
-                        schedule, self._rows_for(schedule, scan), states,
-                        file_writers, memory_capture, scan, workers,
-                        partition_rows,
-                    )
+                self._count_partitioned(
+                    schedule, self._rows_for(schedule, scan), states,
+                    file_writers, memory_capture, scan, workers,
+                    self._partition_rows(schedule, workers),
+                )
             else:
                 matchers = [
                     (state, self._make_matcher(state.request))
@@ -905,7 +855,7 @@ class ExecutionModule:
 
         Columnar partitions are encoded from cursor rows (SERVER),
         assembled from the staged file's int32 blocks (FILE) or sliced
-        zero-copy from the memory set's cached encoding (MEMORY).  The
+        zero-copy from the memory set's one encoding (MEMORY).  The
         last two drop the row iterator unread, which reads and charges
         nothing (``_rows_for`` already charged the memory read).
         """
@@ -958,8 +908,7 @@ class ExecutionModule:
         releases every segment *before* re-raising; the caller then
         abandons the files and reservations.
         """
-        columnar = (self._config.scan_columnar and columnar_available()
-                    and len(states) <= MAX_SLOTS)
+        columnar = self._config.scan_columnar and len(states) <= MAX_SLOTS
         scan.kernel = True
         scan.columnar = columnar
         scan.workers = n_workers
@@ -1114,204 +1063,6 @@ class ExecutionModule:
                     state.reserved = needed
                 else:
                     self._abandon(state, states, scan)
-
-    def _cache_plan(self, schedule: Any) -> ColumnarScanPlan | None:
-        """A table-version cache plan for this scan, or None to stream.
-
-        None falls back to the existing paths — the cache is an overlay,
-        never a requirement.  A plan needs: the cache enabled (numpy
-        present, ``scan_columnar_cache`` on), the columnar kernel
-        eligible (``scan_columnar`` on, batch narrow enough for the
-        int64 candidate masks), a worker-side filter the vector kernel
-        can evaluate, a strategy that can describe its scan as a plan,
-        and an encoding the byte budget could plausibly hold.  MEMORY
-        scans already count over a cached encoding and stay put.
-
-        Ordering note: for the §4.3.3 strategies ``plan_columnar`` may
-        eagerly (re)build the auxiliary structure, so the admission
-        gate runs *after* planning; a plan declined for size leaves the
-        strategy exactly where the streaming path expects it.
-        """
-        cache = self._scan_cache
-        if (cache is None or not self._config.scan_columnar
-                or not columnar_available()
-                or len(schedule.batch) > MAX_SLOTS):
-            return None
-        if schedule.mode is DataLocation.MEMORY:
-            return None
-        plan: ColumnarScanPlan | None
-        if schedule.mode is DataLocation.FILE:
-            plan = staged_file_plan(
-                self._staging.file_for(schedule.source_node)
-            )
-        else:
-            predicate = None
-            if self._config.push_filters:
-                predicate = batch_filter(
-                    [request.predicate for request in schedule.batch]
-                )
-            if not filter_supported(predicate):
-                return None
-            relevant = sum(request.n_rows for request in schedule.batch)
-            plan = self._strategy.plan_columnar(predicate, relevant)
-        if plan is None:
-            return None
-        if not cache.admissible(plan, self._spec.n_attributes + 1):
-            return None
-        return plan
-
-    def _count_cached_columnar(
-            self, schedule: Any, plan: ColumnarScanPlan,
-            states: list[_NodeCount],
-            file_writers: dict[Any, StagedFile],
-            memory_capture: dict[Any, list[Any]],
-            scan: ScanStats, n_workers: int,
-            partition_rows: int) -> None:
-        """Count over the cached full-source encoding ("warm scan").
-
-        Structure mirrors pooled :meth:`_count_partitioned`, with
-        the encode/ship stages hoisted out of the per-scan loop:
-
-        * the full source is encoded **once per table version** — a
-          cache hit skips encoding entirely; a miss encodes from the
-          plan's unmetered source and installs the result;
-        * with a process pool + persistent shm the encoding lives in
-          one long-lived witnessed segment; workers get a generation-
-          counted :class:`~repro.core.shm.ShmSegmentRef` and re-attach
-          only when the generation moves, so an unchanged table costs
-          zero copies after its first scan;
-        * workers receive ``(start, stop)`` bounds plus the pushed
-          batch filter and evaluate it as a vector keep-mask
-          (:func:`~repro.core.vector_kernel.predicate_mask` replicates
-          SQL comparison semantics exactly), so per-scan filters stay
-          out of the cache key;
-        * meter charges are applied explicitly from the plan — a
-          cache-served scan costs exactly what its streaming twin
-          would (see ``docs/cost_model.md``).
-
-        Staged-row index arrays come back slice-relative; the
-        coordinator re-bases them onto the full encoding before
-        decoding, keeping staged files bit-identical to a streamed
-        scan's.  §4.1.1 admission and drain-on-failure are unchanged.
-        A failure mid-count leaves the cache untouched — a miss admits
-        its entry only after encoding completes, and the encoding is
-        valid regardless of how the count ends — so the next scan hits
-        (or re-ships) cleanly.
-        """
-        scan.kernel = True
-        scan.columnar = True
-        scan.cached = True
-        scan.workers = n_workers
-        scan.partition_rows = partition_rows
-        ctx = self._routing_context(states)
-        n_probes = ctx[0].n_probes
-        stage_nodes = tuple(file_writers)
-        capture_nodes = tuple(memory_capture)
-        pool, owned = self._install_pool(states, ctx, scan)
-        writer = self._staging_writer(
-            file_writers, memory_capture, scan, pooled=True
-        )
-
-        cache = self._scan_cache
-        assert cache is not None
-        entry = cache.lookup(plan.key)
-        hit = entry is not None
-        if entry is not None:
-            scan.cache_hit = True
-            scan.encode_seconds_saved = entry.encode_seconds
-            scan.ship_seconds_saved = entry.ship_seconds
-        else:
-            encode_started = time.perf_counter()
-            partition = plan.encode()
-            encode_seconds = time.perf_counter() - encode_started
-            ship = (pool.kind == "process"
-                    and self._config.scan_shared_memory
-                    and self._config.scan_persistent_shm
-                    and shm_available())
-            entry = cache.admit(plan.key, partition, ship=ship)
-            entry.encode_seconds = encode_seconds
-            scan.encode_seconds = encode_seconds
-            scan.ship_seconds = entry.ship_seconds
-        if hit or plan.charge_on_miss:
-            plan.charge_scan()
-
-        table = entry.partition
-        assert table is not None
-        source: Any = entry.ref if entry.ref is not None else table
-        keep_spec: tuple[Any, dict[str, int]] | None = None
-        if (plan.filter_expr is not None
-                and not isinstance(plan.filter_expr, TrueExpr)):
-            keep_spec = (plan.filter_expr, self._attr_index)
-
-        #: seq -> the slice's row offset in the full encoding, for
-        #: re-basing staged/captured index arrays at collect time.
-        offsets: dict[int, int] = {}
-        total_seen = 0
-
-        def collect(future: Any) -> None:
-            nonlocal total_seen
-            (seq, payloads, routed, writes_idx, captures_idx,
-             seconds, seen) = future.result()
-            base = offsets.pop(seq)
-            total_seen += seen
-            scan.rows_seen += seen
-            scan.matcher_evals += n_probes * seen
-            scan.rows_routed += routed
-            scan.worker_seconds.append(seconds)
-            merge_started = time.perf_counter()
-            for state, payload in zip(states, payloads):
-                state.cc.merge_block(*payload)
-            scan.merge_seconds += time.perf_counter() - merge_started
-            if writer is not None:
-                writes = {
-                    node_id: table.rows_at(idx + base)
-                    for node_id, idx in writes_idx.items() if len(idx)
-                }
-                captures = {
-                    node_id: table.rows_at(idx + base)
-                    for node_id, idx in captures_idx.items() if len(idx)
-                }
-                writer.put(writes, captures)
-
-        inflight: deque[Any] = deque()
-        max_inflight = max(2, 2 * n_workers)
-        try:
-            for seq, start in enumerate(
-                range(0, table.n_rows, partition_rows)
-            ):
-                stop = min(start + partition_rows, table.n_rows)
-                offsets[seq] = start
-                inflight.append(
-                    pool.submit_columnar_slice(
-                        seq, source, start, stop, keep_spec,
-                        stage_nodes, capture_nodes,
-                    )
-                )
-                if len(inflight) >= max_inflight:
-                    collect(inflight.popleft())
-            while inflight:
-                collect(inflight.popleft())
-            if writer is not None:
-                writer.close()
-        except BaseException as exc:
-            pool.drain(inflight)
-            if writer is not None:
-                writer.abort()
-            pool.retire_broken(exc)
-            # The raised traceback pins this frame's locals; the
-            # partition views must not outlive the cache entry that
-            # owns the segment, or releasing it trips BufferError.
-            del table, source, entry
-            raise
-        finally:
-            offsets.clear()
-            if owned:
-                pool.close()
-
-        if hit or plan.charge_on_miss:
-            plan.charge_rows(total_seen)
-        self._admit_merged(states, scan)
-        self._sizer.observe(scan.worker_seconds, partition_rows)
 
     def _count_rows(
         self,

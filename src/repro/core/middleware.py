@@ -151,8 +151,6 @@ class Middleware:
                 encode_seconds=scan.encode_seconds,
                 ship_seconds=scan.ship_seconds,
                 prefetch_peak=scan.prefetch_peak,
-                cached=scan.cached,
-                cache_hit=scan.cache_hit,
                 access_path=scan.access_path,
                 access_cost_est=scan.access_cost_est,
             )
@@ -215,17 +213,6 @@ class Middleware:
             )
         if self._scan_pool is not None:
             lines.append(f"  scan pool: {self._scan_pool!r}")
-        cache = self.execution.scan_cache
-        if cache is not None and stats.cached_scans:
-            lines.append(
-                f"  columnar cache: {cache.hits} hits / "
-                f"{cache.misses} misses, "
-                f"{cache.resident_bytes:,} bytes resident "
-                f"({cache.resident_entries} entries, "
-                f"{cache.live_segments} segments), "
-                f"{stats.encode_seconds_saved:.4f}s encode + "
-                f"{stats.ship_seconds_saved:.4f}s ship saved"
-            )
         lines += [
             f"  staging: {stats.files_written} files written, "
             f"{stats.memory_sets_loaded} memory sets loaded",
@@ -248,10 +235,6 @@ class Middleware:
         if not self._closed:
             if self._scan_pool is not None:
                 self._scan_pool.close()
-            # After the pool (workers must drop their attachments
-            # first), before staging teardown (drop listeners fire
-            # into a still-open cache harmlessly, but order is tidy).
-            self.execution.close()
             self.staging.close()
             self._strategy.close()
             self._closed = True

@@ -55,60 +55,29 @@ from ..common.errors import MiddlewareError
 from ..common.locks import new_lock, resource_closed, resource_created
 from ..sqlengine.columnar import ColumnarPartition
 from .cc_table import CCTable
-from .shm import (
-    ShmPartitionHandle,
-    ShmSegmentRef,
-    attach_readonly,
-    partition_from_handle,
-)
-from .vector_kernel import count_partition_columnar, count_partition_slice
+from .shm import ShmPartitionHandle, attach_readonly, partition_from_handle
+from .vector_kernel import count_partition_columnar
 
 #: Worker-process routing-context cache: ``(generation, ctx)``.  One
 #: slot per process is safe because a worker serves one pool, and a
 #: pool installs contexts with strictly increasing generations.
 _PROCESS_CTX: tuple[int, Any] = (0, None)
 
-#: Worker-process persistent-segment cache:
-#: ``(generation, segment, partition)``.  The columnar cache ships one
-#: segment per table version and references it by generation on every
-#: later scan; the worker re-attaches only when the generation moves,
-#: so a warm multi-level fit pays one attach per worker per table
-#: version instead of one per partition per scan.
-_SEGMENT_CTX: tuple[int, Any, Any] = (0, None, None)
-
-
-def _drop_segment_context() -> None:
-    """Release the worker's cached persistent-segment attachment."""
-    global _SEGMENT_CTX
-    _generation, segment, _partition = _SEGMENT_CTX
-    # Drop the partition views before closing the attachment — closing
-    # a segment with live numpy views raises BufferError.
-    _SEGMENT_CTX = (0, None, None)
-    del _partition
-    if segment is not None:
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - views still alive
-            pass
-
 
 def reset_process_context() -> None:
-    """Reset the module-level worker routing-context caches.
+    """Reset the module-level worker routing-context cache.
 
-    ``_PROCESS_CTX`` / ``_SEGMENT_CTX`` live in module globals so
-    process workers can cache an unpickled context (and a persistent
-    shared-memory attachment) between partitions.  Inside the
-    *coordinator* process the same globals are touched when the pool
-    runs thread workers (same interpreter) and whenever tests call the
-    worker functions directly — without an explicit reset, a kernel or
-    segment installed by one pool could leak into the next pool's
-    first scan at the same generation number.
+    ``_PROCESS_CTX`` lives in a module global so process workers can
+    cache an unpickled context between partitions.  Inside the
+    *coordinator* process the same global is touched whenever tests
+    call the worker functions directly — without an explicit reset, a
+    kernel installed by one pool could leak into the next pool's first
+    scan at the same generation number.
     :meth:`ScanWorkerPool.close` calls this, and test fixtures use it
     to isolate cases from each other.
     """
     global _PROCESS_CTX
     _PROCESS_CTX = (0, None)
-    _drop_segment_context()
 
 
 def _count_partition(
@@ -237,82 +206,6 @@ def _count_columnar_shm(
             segment.close()
         except BufferError:  # pragma: no cover - views still alive
             pass
-
-
-def _attached_segment_partition(ref: ShmSegmentRef) -> ColumnarPartition:
-    """The worker's zero-copy view over a persistent cached segment.
-
-    Cached by generation in ``_SEGMENT_CTX``: an unchanged table
-    version reuses the existing attachment; a new generation drops the
-    old views, closes the stale attachment and re-attaches.
-    """
-    global _SEGMENT_CTX
-    generation, _segment, partition = _SEGMENT_CTX
-    if generation == ref.generation and partition is not None:
-        return partition
-    _drop_segment_context()
-    segment = attach_readonly(ref.handle.segment)
-    partition = partition_from_handle(segment, ref.handle)
-    _SEGMENT_CTX = (ref.generation, segment, partition)
-    return partition
-
-
-def _count_columnar_shm_slice(
-    generation: int,
-    payload: bytes,
-    seq: int,
-    ref: ShmSegmentRef,
-    start: int,
-    stop: int,
-    keep_spec: Any,
-    stage_nodes: Iterable[Any],
-    capture_nodes: Iterable[Any],
-) -> tuple[int, list[Any], int, dict[Any, Any], dict[Any, Any], float, int]:
-    """Process-pool task over a slice of a persistent cached segment.
-
-    Unlike :func:`_count_columnar_shm`, the attachment is *kept* across
-    tasks and scans (see ``_SEGMENT_CTX``): the cached full-table
-    encoding is shipped once per table version, and each task counts
-    rows ``[start, stop)`` of it, applying the scan's batch filter as
-    a keep mask (``keep_spec``).
-    """
-    global _PROCESS_CTX
-    cached_generation, ctx = _PROCESS_CTX
-    if cached_generation != generation:
-        ctx = pickle.loads(payload)
-        _PROCESS_CTX = (generation, ctx)
-    partition = _attached_segment_partition(ref)
-    return count_partition_slice(
-        ctx, seq, partition, start, stop, keep_spec, stage_nodes,
-        capture_nodes,
-    )
-
-
-def _count_columnar_pickled_slice(
-    generation: int,
-    payload: bytes,
-    seq: int,
-    partition: ColumnarPartition,
-    keep_spec: Any,
-    stage_nodes: Iterable[Any],
-    capture_nodes: Iterable[Any],
-) -> tuple[int, list[Any], int, dict[Any, Any], dict[Any, Any], float, int]:
-    """Process-pool task over a pickled slice of a cached encoding.
-
-    The fallback when persistent shared memory is unavailable or
-    disabled: the coordinator already sliced the cached partition, so
-    the task counts the whole piece (the cache still saved the
-    re-encode, just not the copy).
-    """
-    global _PROCESS_CTX
-    cached_generation, ctx = _PROCESS_CTX
-    if cached_generation != generation:
-        ctx = pickle.loads(payload)
-        _PROCESS_CTX = (generation, ctx)
-    return count_partition_slice(
-        ctx, seq, partition, 0, partition.n_rows, keep_spec, stage_nodes,
-        capture_nodes,
-    )
 
 
 def _mark_future_done(future: Future[Any]) -> None:
@@ -479,52 +372,6 @@ class ScanWorkerPool:
                 stage_nodes, capture_nodes,
             )
         resource_created("future", future, f"columnar partition {seq}")
-        future.add_done_callback(_mark_future_done)
-        return future
-
-    def submit_columnar_slice(self, seq: int, source: Any, start: int,
-                              stop: int, keep_spec: Any,
-                              stage_nodes: Iterable[Any],
-                              capture_nodes: Iterable[Any]) -> Future[Any]:
-        """Submit one slice of a cached full-table encoding.
-
-        ``source`` is either the coordinator's :class:`ColumnarPartition`
-        (thread pools count it in place; non-shm process pools pickle
-        just the slice) or a :class:`ShmSegmentRef` naming the
-        persistent segment process workers re-attach by generation.
-        ``keep_spec`` is the scan's batch filter as
-        ``(expr, attr_index)``, or None for an unfiltered scan.
-        """
-        executor = self._executor
-        if self._ctx is None or executor is None:
-            raise MiddlewareError("install a routing context first")
-        if self.kind == "process":
-            payload = self._payload
-            if payload is None:
-                raise MiddlewareError("install a routing context first")
-            if isinstance(source, ShmSegmentRef):
-                future = executor.submit(
-                    _count_columnar_shm_slice, self._generation, payload,
-                    seq, source, start, stop, keep_spec, stage_nodes,
-                    capture_nodes,
-                )
-            else:
-                future = executor.submit(
-                    _count_columnar_pickled_slice, self._generation,
-                    payload, seq, source.slice(start, stop), keep_spec,
-                    stage_nodes, capture_nodes,
-                )
-        else:
-            if isinstance(source, ShmSegmentRef):
-                raise MiddlewareError(
-                    "thread pools count cached partitions in place; "
-                    "pass the partition, not a segment reference"
-                )
-            future = executor.submit(
-                count_partition_slice, self._ctx, seq, source, start,
-                stop, keep_spec, stage_nodes, capture_nodes,
-            )
-        resource_created("future", future, f"cached slice {seq}")
         future.add_done_callback(_mark_future_done)
         return future
 

@@ -63,22 +63,6 @@ class ShmPartitionHandle:
     columns: tuple[ShmColumnSpec, ...]
 
 
-@dataclass(frozen=True)
-class ShmSegmentRef:
-    """A *persistent* segment a worker may already have attached.
-
-    The columnar cache ships each table version once and then hands
-    workers this generation-counted reference scan after scan (the
-    same trick :class:`~repro.core.scan_pool.ScanWorkerPool` plays
-    with kernel installs): a worker re-attaches only when
-    ``generation`` differs from the one it has cached, so an unchanged
-    table costs zero copies and zero attaches after the first scan.
-    """
-
-    generation: int
-    handle: ShmPartitionHandle
-
-
 class ShmShipper:
     """Creates, tracks and releases the coordinator's shm segments.
 
@@ -91,15 +75,8 @@ class ShmShipper:
         self._live: dict[str, Any] = {}
         self.shipped = 0
 
-    def ship(self, partition: ColumnarPartition,
-             persistent: bool = False) -> ShmPartitionHandle:
-        """Copy ``partition`` into a fresh segment; returns its handle.
-
-        ``persistent`` only affects the sanitizer witness detail: the
-        columnar cache's segments legitimately outlive individual scans
-        (they die with the cache entry), and the marker keeps that
-        visible in leak reports.
-        """
+    def ship(self, partition: ColumnarPartition) -> ShmPartitionHandle:
+        """Copy ``partition`` into a fresh segment; returns its handle."""
         total, specs = partition.layout()
         segment = shared_memory.SharedMemory(create=True, size=total)
         try:
@@ -110,11 +87,9 @@ class ShmShipper:
             raise
         self._live[segment.name] = segment
         self.shipped += 1
-        lifetime = " persistent" if persistent else ""
         resource_created(
             "shm-segment", segment,
-            f"{segment.name} rows={partition.n_rows} bytes={total}"
-            f"{lifetime}",
+            f"{segment.name} rows={partition.n_rows} bytes={total}",
         )
         return ShmPartitionHandle(
             segment=segment.name,
@@ -142,16 +117,6 @@ class ShmShipper:
         except BufferError:
             pass
         segment.unlink()
-
-    def segment(self, name: str) -> Any:
-        """The live segment object for ``name``.
-
-        The columnar cache rebuilds its resident partition as a
-        zero-copy view over the shipped segment (one physical copy for
-        coordinator *and* workers), so it needs the buffer back after
-        :meth:`ship`.  Raises :class:`KeyError` for released segments.
-        """
-        return self._live[name]
 
     @property
     def live_segments(self) -> int:

@@ -19,18 +19,17 @@ under a temporary directory, one file per staged node.
 from __future__ import annotations
 
 import enum
-import itertools
 import os
 import queue
 import struct
 import tempfile
 import threading
 
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..common.errors import StagingError
 from ..common.locks import new_lock, resource_closed, resource_created
-from ..sqlengine.columnar import ColumnarPartition, columnar_available, np
+from ..sqlengine.columnar import ColumnarPartition, np
 
 
 class DataLocation(enum.IntEnum):
@@ -61,15 +60,8 @@ class StagedFile:
     #: packed records; reads fetch this many records per ``read``).
     BLOCK_ROWS = 1024
 
-    #: Process-wide uid source; never reused, so a cache entry keyed
-    #: by uid can only ever refer to this file object.
-    _UIDS = itertools.count(1)
-
     def __init__(self, path: str, n_fields: int, owner_node: Any,
                  meter: Any, model: Any) -> None:
-        #: Stable identity for scan-side caches.  Paths can be reused
-        #: after a drop (the staging dir is shared); uids cannot.
-        self.uid = next(StagedFile._UIDS)
         self._path = path
         self._struct = struct.Struct(f"<{n_fields}i")
         self.owner_node = owner_node
@@ -200,8 +192,6 @@ class StagedFile:
         int32 array decoded straight from the packed record bytes
         (no per-row ``struct`` unpacking).
         """
-        if not columnar_available():
-            raise StagingError("columnar scans need numpy")
         if self._writing:
             raise StagingError("seal the file before scanning it")
         if self._buffer:
@@ -234,21 +224,6 @@ class StagedFile:
                 self._model.file_row_io * rows_read,
                 events=rows_read,
             )
-
-    #: meter parity with StagedFile.scan
-    def charge_cached_read(self) -> None:
-        """Meter one full scan's read cost without touching the disk.
-
-        A scan served from a cached columnar encoding of this file must
-        cost exactly what :meth:`scan` / :meth:`scan_blocks` would have
-        charged — the cache is a wall-clock optimisation, never a cost-
-        model change (see ``docs/cost_model.md``).
-        """
-        self._meter.charge(
-            "file_read",
-            self._model.file_row_io * self._row_count,
-            events=self._row_count,
-        )
 
     def delete(self) -> None:
         """Remove the file from disk."""
@@ -516,11 +491,8 @@ class StagingManager:
         self._file_budget = file_budget_bytes
         self._files: dict[Any, StagedFile] = {}
         self._memory: dict[Any, list[Any]] = {}
-        #: Called with each StagedFile as it is dropped/abandoned, so
-        #: scan-side caches can evict that file's encoding eagerly.
-        self._drop_listeners: list[Callable[[StagedFile], None]] = []
         #: Lazily built columnar encodings of in-memory data sets, so
-        #: repeated parallel scans of one staged set pay the encode
+        #: repeated scans of one staged set pay the encode
         #: once and slice zero-copy afterwards.  Pure cache: holds no
         #: budget and is invalidated whenever the rows are dropped.
         self._memory_columnar: dict[Any, ColumnarPartition] = {}
@@ -612,21 +584,11 @@ class StagingManager:
         self._files[node_id] = staged
         return staged
 
-    def add_drop_listener(self,
-                          listener: Callable[[StagedFile], None]) -> None:
-        """Register a callback fired whenever a staged file is dropped."""
-        self._drop_listeners.append(listener)
-
-    def _notify_dropped(self, staged: StagedFile) -> None:
-        for listener in self._drop_listeners:
-            listener(staged)
-
     def abandon_file(self, node_id: Any) -> None:
         """Drop a file opened this scan (e.g. budget raced); deletes it."""
         staged = self._files.pop(node_id, None)
         if staged is not None:
             staged.delete()
-            self._notify_dropped(staged)
 
     def reserve_memory(self, node_id: Any, n_rows: int) -> bool:
         """Try to reserve budget for ``n_rows`` of ``node_id``'s data."""
@@ -662,7 +624,6 @@ class StagingManager:
         staged = self._files.pop(node_id, None)
         if staged is not None:
             staged.delete()
-            self._notify_dropped(staged)
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -50,19 +50,15 @@ class ScheduleRecord:
     split_writers: int = 0
     #: True when the scan counted over columnar partitions.
     columnar: bool = False
-    #: Seconds encoding rows into columnar partitions (~0 on a warm
-    #: cache hit; 0.0 for serial or row-tuple scans).
+    #: Seconds encoding rows into columnar partitions (0.0 for
+    #: row-tuple scans and the per-row oracle).
     encode_seconds: float = 0.0
     #: Seconds copying partitions into shared-memory segments (the
-    #: memcpy only; 0.0 for serial or row-tuple scans, and for warm
-    #: scans served by a persistent segment).
+    #: memcpy only; 0.0 unless a process pool ships columnar
+    #: partitions through shared memory).
     ship_seconds: float = 0.0
     #: Highest prefetch depth the adaptive producer reached (0 = none).
     prefetch_peak: int = 0
-    #: True when the scan counted over the table-version columnar
-    #: cache; ``cache_hit`` says whether the encoding was reused.
-    cached: bool = False
-    cache_hit: bool = False
     #: Access path the server-side strategy took ("seq" / "index" /
     #: "temp_table" / "tid_join" / "keyset"; "" for non-SERVER scans).
     access_path: str = ""
@@ -88,8 +84,6 @@ class ScheduleRecord:
             loop = "kernel" if self.kernel else "per-row"
             if self.workers > 1:
                 loop += f" x{self.workers}w"
-            if self.cached:
-                loop += " warm" if self.cache_hit else " cold"
             profile = f" {self.rows_per_sec:,.0f} rows/s ({loop})"
         path = f" via={self.access_path}" if self.access_path else ""
         return (

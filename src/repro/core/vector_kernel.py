@@ -1,8 +1,8 @@
 """Vectorized CC counting over columnar partitions.
 
-The row-at-a-time kernel pays a dict probe per constrained attribute
-per row plus a ``count_row_at`` call per (row, slot).  This module
-replaces both loops with array passes:
+Counting a row at a time pays a dict probe per constrained attribute
+per row plus a CC update per (row, attribute).  This module replaces
+both loops with array passes:
 
 * :func:`route_masks` evaluates the compiled :class:`RoutingKernel`
   once per *column* — each probe becomes one LUT fancy-index over the
@@ -28,10 +28,9 @@ wider batches (which the scheduler's memory bound makes rare).
 from __future__ import annotations
 
 import time
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable
 
 from ..sqlengine.columnar import DICT, ColumnarPartition, np
-from ..sqlengine.expr import And, ColumnRef, Comparison, Literal, Or, TrueExpr
 
 #: Widest batch the int64 candidate masks can route.
 MAX_SLOTS = 62
@@ -68,98 +67,6 @@ def route_masks(kernel: Any, partition: ColumnarPartition) -> Any:
         if not masks.any():
             break
     return masks
-
-
-def filter_supported(expr: Any) -> bool:
-    """True when :func:`predicate_mask` can evaluate ``expr``.
-
-    The cached-scan planner calls this at plan time: batch filters are
-    disjunctions of path-condition conjunctions (``=`` / ``<>`` on one
-    column against one literal), which is exactly the shape supported.
-    Anything else — another operator, a non-literal operand — falls
-    back to the streaming scan rather than risking a semantic drift
-    from :func:`repro.sqlengine.expr.compile_predicate`.
-    """
-    if expr is None or isinstance(expr, TrueExpr):
-        return True
-    if isinstance(expr, (And, Or)):
-        return all(filter_supported(part) for part in expr.parts)
-    return (
-        isinstance(expr, Comparison)
-        and expr.op in ("=", "<>")
-        and isinstance(expr.left, ColumnRef)
-        and isinstance(expr.right, Literal)
-    )
-
-
-def _comparison_mask(partition: ColumnarPartition, expr: Any,
-                     attr_index: dict[str, int]) -> Any:
-    """Boolean qualification mask for one ``column op literal`` leaf.
-
-    Replicates ``compile_predicate`` semantics exactly: a NULL on
-    either side never qualifies (``=`` *and* ``<>`` both return False
-    for NULL operands), and equality is Python equality — a string
-    literal never equals an integer column value, but ``<>`` against a
-    differently-typed live value does hold.
-    """
-    position = attr_index[expr.left.name]
-    column = partition.columns[position]
-    value = expr.right.value
-    n = partition.n_rows
-    if value is None:
-        return np.zeros(n, dtype=bool)
-    if column.kind == DICT:
-        assert column.values is not None
-        if expr.op == "=":
-            flags = [v is not None and v == value for v in column.values]
-        else:
-            flags = [v is not None and v != value for v in column.values]
-        lut = np.asarray(flags, dtype=bool)
-        return lut[column.data]
-    live = (
-        np.ones(n, dtype=bool) if column.nulls is None else ~column.nulls
-    )
-    if isinstance(value, int):  # bool is an int subclass: == by value
-        try:
-            eq = column.data == np.int64(value)
-        except OverflowError:
-            eq = np.zeros(n, dtype=bool)
-    else:
-        eq = np.zeros(n, dtype=bool)
-    if expr.op == "=":
-        return eq & live
-    return live & ~eq
-
-
-def predicate_mask(partition: ColumnarPartition, expr: Any,
-                   attr_index: dict[str, int]) -> Any:
-    """Boolean keep mask: which partition rows satisfy ``expr``.
-
-    The cached scan path counts over full-table partitions, so the
-    pushed batch filter — applied by the server cursor on the
-    streaming path — is applied here instead, as one vectorized pass
-    per predicate leaf.  Only shapes accepted by
-    :func:`filter_supported` are evaluated.
-    """
-    if expr is None or isinstance(expr, TrueExpr):
-        return np.ones(partition.n_rows, dtype=bool)
-    if partition.n_rows == 0:
-        # An empty encoding has no columns to index into (staged
-        # files can legitimately be empty).
-        return np.zeros(0, dtype=bool)
-    if isinstance(expr, And):
-        mask = np.ones(partition.n_rows, dtype=bool)
-        for part in expr.parts:
-            mask &= predicate_mask(partition, part, attr_index)
-        return mask
-    if isinstance(expr, Or):
-        mask = np.zeros(partition.n_rows, dtype=bool)
-        for part in expr.parts:
-            mask |= predicate_mask(partition, part, attr_index)
-        return mask
-    if isinstance(expr, Comparison):
-        return _comparison_mask(partition, expr, attr_index)
-    raise TypeError(f"unsupported filter expression: {expr!r}")
 
 
 def _count_raw(data: Any, cls: Any,
@@ -243,7 +150,6 @@ def count_partition_columnar(
     partition: ColumnarPartition,
     stage_nodes: Iterable[Any],
     capture_nodes: Iterable[Any],
-    keep: Optional[Any] = None,
 ) -> tuple[int, list[tuple[int, list[int], list[Any]]], int,
            dict[Any, Any], dict[Any, Any], float]:
     """Count one columnar partition against a routing context.
@@ -253,17 +159,10 @@ def count_partition_columnar(
     selected-row *index arrays* (the coordinator decodes them back to
     row tuples from its pinned copy of the partition, so no row tuples
     cross the worker boundary at all).
-
-    ``keep`` (optional boolean mask) restricts counting to qualifying
-    rows: the cached scan path hands workers full-table partitions and
-    applies the batch filter here instead of at the cursor, so routing
-    masks are zeroed wherever ``keep`` is False before any counting.
     """
     kernel, slots, class_index, n_classes = ctx
     started = time.perf_counter()
     masks = route_masks(kernel, partition)
-    if keep is not None:
-        masks = np.where(keep, masks, 0)
     routed = int(np.count_nonzero(masks))
     cls_codes, cls_nulls = _class_codes(partition.columns[class_index])
     stage_set = set(stage_nodes)
@@ -305,66 +204,6 @@ def count_partition_columnar(
         time.perf_counter() - started
 
 
-def count_partition_slice(
-    ctx: Any,
-    seq: int,
-    partition: ColumnarPartition,
-    start: int,
-    stop: int,
-    keep_spec: Optional[tuple[Any, dict[str, int]]],
-    stage_nodes: Iterable[Any],
-    capture_nodes: Iterable[Any],
-) -> tuple[int, list[tuple[int, list[int], list[Any]]], int,
-           dict[Any, Any], dict[Any, Any], float, int]:
-    """Count rows ``[start, stop)`` of a cached full-table partition.
-
-    The cached scan path's worker entry: slices the shared encoding
-    (zero-copy views), evaluates the batch filter as a keep mask
-    (``keep_spec`` is ``(expr, attr_index)``, or None for an
-    unfiltered scan), and counts the qualifying rows.  Returns the
-    :func:`count_partition_columnar` tuple with the number of
-    *qualifying* rows appended — the coordinator charges transfer for
-    exactly those, matching what a streaming cursor would have
-    shipped.  Staging/capture index arrays are relative to the slice;
-    the coordinator re-bases them with ``start``.
-    """
-    started = time.perf_counter()
-    piece = partition.slice(start, stop)
-    if keep_spec is None:
-        keep = None
-        seen = piece.n_rows
-    else:
-        expr, attr_index = keep_spec
-        keep = predicate_mask(piece, expr, attr_index)
-        seen = int(np.count_nonzero(keep))
-    if seen == 0:
-        _kernel, slots, _class_index, n_classes = ctx
-        stage_set = set(stage_nodes)
-        capture_set = set(capture_nodes)
-        empty = np.zeros(0, dtype=np.int64)
-        payloads = [
-            (0, [0] * n_classes,
-             [(attribute, [], []) for attribute, _ in attr_positions])
-            for _node_id, _attributes, attr_positions in slots
-        ]
-        writes = {
-            node_id: empty for node_id, _, _ in slots if node_id in stage_set
-        }
-        captures = {
-            node_id: empty
-            for node_id, _, _ in slots if node_id in capture_set
-        }
-        return (seq, payloads, 0, writes, captures,
-                time.perf_counter() - started, 0)
-    out_seq, payloads, routed, writes, captures, _ = (
-        count_partition_columnar(
-            ctx, seq, piece, stage_nodes, capture_nodes, keep=keep
-        )
-    )
-    return (out_seq, payloads, routed, writes, captures,
-            time.perf_counter() - started, seen)
-
-
 def fold_payload(cc: Any, payload: tuple[int, list[int], list[Any]]) -> None:
     """Fold one slot payload into a CC table (coordinator side)."""
     records, class_totals, blocks = payload
@@ -374,9 +213,6 @@ def fold_payload(cc: Any, payload: tuple[int, list[int], list[Any]]) -> None:
 __all__ = [
     "MAX_SLOTS",
     "count_partition_columnar",
-    "count_partition_slice",
-    "filter_supported",
     "fold_payload",
-    "predicate_mask",
     "route_masks",
 ]

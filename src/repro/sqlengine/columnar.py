@@ -1,9 +1,9 @@
-"""Array-backed columnar partitions for the parallel scan path.
+"""Array-backed columnar partitions for the counting loop.
 
 The CC-counting hot loop only ever needs *column arrays* — an attribute
 column and the class column — never row dicts or row tuples.  This
 module provides the columnar partition representation the executor
-ships to scan workers:
+counts, inline or on scan workers:
 
 * :class:`Column` — one attribute's values as a typed buffer.  Integer
   columns are stored raw (int64 data + optional null mask); everything
@@ -15,20 +15,13 @@ ships to scan workers:
   rows back to tuples (``rows_at``), and a flat shared-memory buffer
   layout (``buffer_bytes`` / ``write_into`` / ``from_buffer``) so
   process workers can attach without any per-row pickling.
-
-numpy is an optional accelerator: when it is missing the executor
-falls back to the row-at-a-time kernel, so everything here is gated
-behind :func:`columnar_available`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator, Optional, Sequence
 
-try:  # pragma: no cover - numpy is present in CI; the gate is for safety
-    import numpy as _numpy
-except ImportError:  # pragma: no cover
-    _numpy = None  # type: ignore[assignment]
+import numpy as _numpy
 
 #: numpy handle, typed ``Any`` so strict checking doesn't depend on stubs.
 np: Any = _numpy
@@ -40,11 +33,6 @@ DICT = "dict"
 
 #: Byte alignment of each array inside the flat shared-memory layout.
 _ALIGN = 8
-
-
-def columnar_available() -> bool:
-    """True when numpy is importable and columnar scans can run."""
-    return np is not None
 
 
 def _aligned(offset: int) -> int:
@@ -148,7 +136,8 @@ class ColumnarPartition:
     """A batch of rows stored column-wise.
 
     Immutable once built; ``slice`` returns zero-copy views so the
-    producer can carve worker partitions out of one cached encoding
+    executor can carve partitions out of one encoding (a memory set's,
+    see :meth:`~repro.core.staging.StagingManager.columnar_memory`)
     without touching row data again.
     """
 
@@ -224,15 +213,6 @@ class ColumnarPartition:
         """Decode every row, in order (test/debug convenience)."""
         if self.n_rows:
             yield from self.rows_at(np.arange(self.n_rows))
-
-    @property
-    def nbytes(self) -> int:
-        """Flat-layout byte size (what one shared-memory segment — or
-        one cached resident encoding — costs).  Dictionary value tuples
-        ride outside the buffer and are not counted; they are small by
-        construction (distinct values only)."""
-        total, _ = self.layout()
-        return total
 
     # -- flat buffer layout (shared-memory shipping) -------------------
 

@@ -16,7 +16,7 @@ Two cursor flavours from the paper:
 from __future__ import annotations
 
 from types import TracebackType
-from typing import Any, Iterator, Optional
+from typing import Iterator, Optional
 
 from ..common.cost import CostMeter, CostModel
 from ..common.errors import CursorStateError
@@ -106,15 +106,6 @@ class KeysetCursor:
     @property
     def keyset_size(self) -> int:
         return len(self._tids)
-
-    @property
-    def tids(self) -> tuple[Any, ...]:
-        """The captured keyset, in capture order (read-only view).
-
-        Exposed for the columnar scan planner, which encodes the
-        keyset's live rows once and serves later fetches from cache.
-        """
-        return tuple(self._tids)
 
     def fetch(self,
               filter_predicate: Optional[Expr] = None) -> Iterator[Row]:

@@ -42,9 +42,9 @@ class HeapTable:
     def version(self) -> int:
         """Monotone data-version counter, bumped by every INSERT and
         DELETE.  Two reads of an equal version are guaranteed to see
-        identical live rows, which is what lets scan-side caches key
-        columnar encodings by ``(table name, version)`` and skip
-        re-encoding an unchanged table.
+        identical live rows, which is what lets the
+        :class:`~repro.sqlengine.statistics.StatisticsCatalog` reuse
+        column statistics of an unchanged table.
         """
         return self._version
 

@@ -18,7 +18,7 @@ DEFAULT_PAGE_BYTES = 8192
 class Page:
     """A fixed-capacity container of row tuples."""
 
-    __slots__ = ("capacity", "rows", "version")
+    __slots__ = ("capacity", "rows")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -26,9 +26,6 @@ class Page:
         self.capacity = capacity
         # A slot holds None once its row is tombstoned (see HeapTable).
         self.rows: list[Optional[Row]] = []
-        #: Bumped on every mutation (append / tombstone) so cached
-        #: encodings of the page's contents can detect staleness.
-        self.version = 0
 
     @property
     def full(self) -> bool:
@@ -39,7 +36,6 @@ class Page:
         if self.full:
             raise ValueError("page is full")
         self.rows.append(row)
-        self.version += 1
         return len(self.rows) - 1
 
     def tombstone(self, slot: int) -> Row:
@@ -52,7 +48,6 @@ class Page:
         if row is None:
             raise LookupError(f"slot {slot} is already a tombstone")
         self.rows[slot] = None
-        self.version += 1
         return row
 
     def __len__(self) -> int:

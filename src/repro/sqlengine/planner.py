@@ -104,14 +104,6 @@ class ProbeCandidate:
             parts.append(f"{'<=' if inclusive else '<'} {value!r}")
         return " ".join(parts)
 
-    def token(self) -> tuple[object, ...]:
-        """Hashable identity for cache keys."""
-        if self.values is not None:
-            return (self.index.name, "eq", tuple(sorted(
-                self.values, key=lambda v: (v is None, str(type(v)), v)
-            )))
-        return (self.index.name, "range", self.lower, self.upper)
-
 
 @dataclass
 class AccessPlan:
@@ -200,17 +192,6 @@ class AccessPlan:
             f"IndexScan({'+'.join(names)} {kind}: {conditions}) "
             f"tids={self.index_tids} cost={self.index_cost:.2f}"
         )
-
-    def cache_token(self) -> tuple[object, ...]:
-        """Hashable identity of the fetch (columnar cache keys).
-
-        Keyed on the probes whenever the plan has them — callers that
-        fetch through the index alternative (see :meth:`fetch_tids`)
-        must not share cache entries with a full-table scan.
-        """
-        if self.probes:
-            return ("index",) + tuple(p.token() for p in self.probes)
-        return ("seq",)
 
 
 def plan_access_path(where: Optional[Expr], table: "HeapTable",

@@ -88,11 +88,6 @@ class TIDList:
     def __len__(self) -> int:
         return len(self._tids)
 
-    @property
-    def tids(self) -> tuple["TID", ...]:
-        """The stored TIDs, in capture order (read-only view)."""
-        return tuple(self._tids)
-
     def fetch(self,
               filter_predicate: Optional[Expr] = None) -> Iterator[Row]:
         """Join the TID list back to the data table, filtered.

@@ -500,7 +500,6 @@ class TestShmFaultInjection:
                 memory_staging=False,
                 scan_workers=2,
                 scan_pool="process",
-                scan_columnar_cache=False,  # the streaming failure path
                 **PARALLEL,
             )
             with Middleware(server, "data", SPEC, config) as mw:
@@ -512,56 +511,6 @@ class TestShmFaultInjection:
                 assert monitor.created.get("shm-segment", 0) >= 1
                 assert "shm-segment" not in monitor.live_kinds()
                 # The session pool survived the worker error warm.
-                pool = mw.scan_pool
-                assert pool is not None and pool.active
-            assert "executor" not in monitor.live_kinds()
-            assert "shm-segment" not in monitor.live_kinds()
-        finally:
-            install_monitor(previous)
-
-    @pytest.mark.skipif(not shm_available(), reason="no shared_memory")
-    def test_failed_scan_keeps_cached_segment_and_recovers(self):
-        # With the columnar cache on, the encoding's persistent segment
-        # legitimately survives a poisoned count (the encoding was valid
-        # regardless of how the count ended): the next scan of the
-        # repaired table re-encodes under the bumped version, and close
-        # retires every segment.
-        monitor = _WitnessMonitor()
-        previous = install_monitor(monitor)
-        try:
-            rows = dataset_rows()
-            server = make_server(rows)
-            table = server.table("data")
-            table.insert((0, 0, 99))  # poisons the vectorized count
-            config = MiddlewareConfig(
-                memory_bytes=100_000,
-                file_staging=False,
-                memory_staging=False,
-                scan_workers=2,
-                scan_pool="process",
-                **PARALLEL,
-            )
-            with Middleware(server, "data", SPEC, config) as mw:
-                mw.queue_request(root_request(rows))
-                with pytest.raises(IndexError):
-                    mw.process_next_batch()
-                cache = mw.execution.scan_cache
-                assert cache is not None
-                # The miss admitted its entry; the failure did not
-                # corrupt or leak it (exactly one witnessed segment).
-                assert cache.misses == 1
-                assert cache.resident_entries == 1
-                assert cache.live_segments == 1
-                assert monitor.created.get("shm-segment", 0) == 1
-                # Repair the table: the version bump strands the
-                # poisoned entry, so the retry re-encodes cleanly.
-                server.execute("DELETE FROM data WHERE class = 99")
-                mw.queue_request(root_request(rows))
-                results = mw.process_next_batch()
-                assert results[0].cc == build_cc_from_rows(
-                    rows, SPEC, ("A1", "A2")
-                )
-                assert cache.misses == 2
                 pool = mw.scan_pool
                 assert pool is not None and pool.active
             assert "executor" not in monitor.live_kinds()

@@ -217,16 +217,13 @@ class TestScanFailureCleanupPooled(TestScanFailureCleanup):
 
     No size gate and 4-row chunks give 9-row partitions on the 36-row
     table, so row 20 again fails the third partition while earlier
-    ones are in flight or staged.  The columnar cache is pinned off:
-    its encode-once path never reads the streaming row source the
-    failures are injected into.
+    ones are in flight or staged.
     """
 
     CONFIG = {
         "scan_workers": 2,
         "scan_parallel_min_rows": 0,
         "scan_chunk_rows": 4,
-        "scan_columnar_cache": False,
     }
 
 
@@ -290,11 +287,6 @@ class TestPoisonedPartition:
         "scan_workers": 2,
         "scan_parallel_min_rows": 0,
         "scan_chunk_rows": 4,
-        # The poison rides the streaming row source (``_rows_for``),
-        # which the columnar cache's encode-once path never touches —
-        # pin the cache off so the streaming failure path stays under
-        # test.  TestPoisonedCachedScan covers the cached path.
-        "scan_columnar_cache": False,
     }
 
     def test_staged_file_set_unchanged_after_worker_failure(self, tmp_path):
@@ -341,57 +333,6 @@ class TestPoisonedPartition:
             assert mw.staging.file_nodes() == []
             assert list(tmp_path.iterdir()) == []
             assert mw.budget.used == 0
-
-
-class TestPoisonedCachedScan:
-    """A scan served by the warm columnar cache dying mid-count.
-
-    The cached encoding is valid regardless of how a count over it
-    ends, so a failed warm scan must leave the cache entry serving:
-    futures drained, no staging residue, the *same* entry (no
-    re-encode) counting the retry.
-    """
-
-    PARALLEL = {
-        "scan_workers": 2,
-        "scan_parallel_min_rows": 0,
-        "scan_chunk_rows": 4,
-    }
-
-    def test_warm_scan_failure_leaves_cache_serving(self):
-        with make_middleware(file_staging=False, memory_staging=False,
-                             **self.PARALLEL) as mw:
-            mw.queue_request(root_request())
-            mw.process_next_batch()  # cold scan: encodes and admits
-            cache = mw.execution.scan_cache
-            if cache is None or not mw.execution.last_scan.cached:
-                pytest.skip("columnar cache not active (numpy missing)")
-            assert cache.misses == 1
-            pool = mw.scan_pool
-            assert pool is not None
-            original = pool.submit_columnar_slice
-            calls = {"n": 0}
-
-            def failing(*args, **kwargs):
-                calls["n"] += 1
-                if calls["n"] > 1:
-                    raise RuntimeError("coordinator tripped")
-                return original(*args, **kwargs)
-
-            pool.submit_columnar_slice = failing
-            mw.queue_request(root_request())
-            with pytest.raises(RuntimeError, match="coordinator tripped"):
-                mw.process_next_batch()
-            pool.submit_columnar_slice = original
-            # The warm entry survived the failed count untouched...
-            assert cache.resident_entries == 1
-            assert cache.hits >= 1
-            assert mw.budget.used == 0
-            # ...and serves the retry without re-encoding.
-            mw.queue_request(root_request())
-            (result,) = mw.process_next_batch()
-            assert result.cc.records == len(ROWS)
-            assert cache.misses == 1
 
 
 class TestBadClientInput:

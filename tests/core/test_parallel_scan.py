@@ -272,17 +272,17 @@ class TestParallelOverflow:
 
 
 class TestMeterInvariance:
-    """A fit's metered cost does not depend on the worker count.
+    """A fit's metered cost depends on neither worker count nor pool kind.
 
     §4.1.1 admission runs on the merged CC sizes on every counting
     path, so a fit whose budget forces deferrals takes the same
     recoveries, and charges the same meter, inline at one worker as on
-    a two-thread pool.  The 3,300-row table is above the default
-    ``scan_parallel_min_rows``, so the two-worker fit's large scans
-    really run pooled.
+    a two-worker thread or process pool.  The 3,300-row table is above
+    the default ``scan_parallel_min_rows``, so the two-worker fit's
+    large scans really run pooled.
     """
 
-    def fit(self, workers):
+    def fit(self, workers, pool="thread"):
         generating = build_random_tree(
             RandomTreeConfig(n_attributes=8, values_per_attribute=4,
                              n_classes=3, n_leaves=20, cases_per_leaf=150,
@@ -293,7 +293,7 @@ class TestMeterInvariance:
         server = SQLServer()
         load_dataset(server, "data", generating.spec, rows)
         config = MiddlewareConfig(memory_bytes=8_000, scan_workers=workers,
-                                  scan_pool="thread")
+                                  scan_pool=pool)
         with Middleware(server, "data", generating.spec, config) as mw:
             classifier = DecisionTreeClassifier()
             classifier.fit(mw)
@@ -309,15 +309,132 @@ class TestMeterInvariance:
                 "pooled_deferrals": pooled_deferrals,
             }
 
-    def test_cost_identical_inline_and_pooled_under_deferral(self):
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    def test_cost_identical_inline_and_pooled_under_deferral(self, pool):
         inline = self.fit(1)
-        pooled = self.fit(2)
+        pooled = self.fit(2, pool)
         assert inline["deferrals"] > 0
         assert pooled["pooled_deferrals"] > 0  # deferred on a pooled scan
         assert inline["tree"] == pooled["tree"]
         assert inline["total"] == pooled["total"]
         assert inline["breakdown"] == pooled["breakdown"]
         assert inline["deferrals"] == pooled["deferrals"]
+
+
+def _server_levels(workers, **overrides):
+    """Root, then each child alone: every scan re-reads the server table."""
+    rows = dataset_rows()
+    server = make_server(rows)
+    config = MiddlewareConfig(
+        memory_bytes=100_000, file_staging=False, memory_staging=False,
+        scan_workers=workers, **PARALLEL, **overrides,
+    )
+    results = {}
+    with Middleware(server, "data", SPEC, config) as mw:
+        mw.queue_request(root_request(rows))
+        mw.process_next_batch()
+        for value in range(3):
+            mw.queue_request(child_request(f"n{value}", value, rows))
+            for result in mw.process_next_batch():
+                results[result.node_id] = result.cc
+        assert all(record.workers == workers for record in mw.trace)
+        paths = [record.access_path for record in mw.trace]
+    return results, server.meter.breakdown(), paths
+
+
+def _staged_levels(tmp_path, workers, **overrides):
+    """Root from the server, then each child from the root's staged
+    file, split-staging one file per child: pooled FILE scans with
+    staging output, the strongest byte-identity case."""
+    rows = dataset_rows()
+    server = make_server(rows)
+    config = MiddlewareConfig(
+        memory_bytes=100_000, memory_staging=False,
+        staging_dir=str(tmp_path), scan_workers=workers, **PARALLEL,
+        **overrides,
+    )
+    results = {}
+    staged_bytes = {}
+    with Middleware(server, "data", SPEC, config) as mw:
+        mw.queue_request(root_request(rows))
+        mw.process_next_batch()
+        for value in range(3):
+            mw.queue_request(child_request(f"n{value}", value, rows))
+            for result in mw.process_next_batch():
+                results[result.node_id] = result.cc
+            staged = mw.staging.file_for(f"n{value}")
+            with open(staged.path, "rb") as handle:
+                staged_bytes[f"n{value}"] = handle.read()
+        modes = [record.mode for record in mw.trace]
+        assert modes == ["SERVER", "FILE", "FILE", "FILE"]
+        assert all(record.workers == workers for record in mw.trace)
+    return results, staged_bytes, server.meter.breakdown()
+
+
+class TestPooledRescans:
+    """Scans that re-read one source level after level, pooled.
+
+    Each pooled scan reads and encodes its source afresh, so it must
+    count exactly what the same scan counts inline — for the §4.3.3
+    auxiliary strategies, after a write between scans, and over staged
+    files on either pool kind — and charge the same meter.
+    """
+
+    @pytest.mark.parametrize("strategy",
+                             ["temp_table", "tid_join", "keyset"])
+    def test_aux_strategy_pooled_equals_inline(self, strategy):
+        options = {"aux_strategy": strategy, "aux_build_threshold": 0.5}
+        pooled, pooled_cost, paths = _server_levels(2, **options)
+        inline, inline_cost, _ = _server_levels(1, **options)
+        assert paths[0] == "seq" and set(paths[1:]) == {strategy}
+        rows = dataset_rows()
+        for value in range(3):
+            subset = [r for r in rows if r[0] == value]
+            assert pooled[f"n{value}"] == build_cc_from_rows(
+                subset, SPEC, ("A2",)
+            )
+        assert pooled == inline
+        assert pooled_cost == pytest.approx(inline_cost)
+
+    def test_insert_between_pooled_scans_is_counted(self):
+        rows = dataset_rows()
+        server = make_server(rows)
+        config = MiddlewareConfig(
+            memory_bytes=100_000, file_staging=False,
+            memory_staging=False, scan_workers=2, **PARALLEL,
+        )
+        with Middleware(server, "data", SPEC, config) as mw:
+            mw.queue_request(root_request(rows))
+            mw.process_next_batch()
+            mw.queue_request(child_request("n2", 2, rows))
+            (before,) = mw.process_next_batch()
+            assert mw.execution.last_scan.workers == 2
+            server.table("data").insert((2, 2, 1))
+            grown = rows + [(2, 2, 1)]
+            mw.queue_request(child_request("n2", 2, grown))
+            (after,) = mw.process_next_batch()
+            assert mw.execution.last_scan.workers == 2
+        subset = [r for r in grown if r[0] == 2]
+        assert after.cc == build_cc_from_rows(subset, SPEC, ("A2",))
+        assert after.cc.records == before.cc.records + 1
+
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    def test_staged_pooled_fit_equals_inline(self, pool, tmp_path):
+        results, staged, cost = _staged_levels(
+            tmp_path / pool, 2, scan_pool=pool
+        )
+        reference, ref_staged, ref_cost = _staged_levels(
+            tmp_path / "inline", 1
+        )
+        rows = dataset_rows()
+        for value in range(3):
+            subset = [r for r in rows if r[0] == value]
+            assert results[f"n{value}"] == build_cc_from_rows(
+                subset, SPEC, ("A2",)
+            )
+        assert results == reference
+        assert staged == ref_staged
+        assert cost == pytest.approx(ref_cost)
 
 
 class TestParallelProfiling:
@@ -515,17 +632,13 @@ class TestParallelStagingWriter:
 class TestPrefetch:
     """SERVER-cursor prefetch must change only where time is spent."""
 
-    # The columnar cache's encode-once path never streams partitions,
-    # so the prefetch producer only runs with the cache pinned off.
     @pytest.mark.parametrize("depth", [0, 1, 3])
     def test_counts_and_costs_identical_at_any_depth(self, depth):
         results, trace, cost = frontier_results(
-            scan_workers=2, scan_prefetch_partitions=depth,
-            scan_columnar_cache=False, **PARALLEL
+            scan_workers=2, scan_prefetch_partitions=depth, **PARALLEL
         )
         reference, _, reference_cost = frontier_results(
-            scan_workers=1, scan_prefetch_partitions=0,
-            scan_columnar_cache=False, **PARALLEL
+            scan_workers=1, scan_prefetch_partitions=0, **PARALLEL
         )
         rows = dataset_rows()
         for value in range(3):
@@ -546,7 +659,6 @@ class TestPrefetch:
             file_staging=False,
             scan_workers=2,
             scan_prefetch_partitions=3,
-            scan_columnar_cache=False,
             **PARALLEL,
         )
         with Middleware(server, "data", SPEC, config) as mw:

@@ -18,7 +18,6 @@ from repro.sqlengine.columnar import (  # noqa: E402
     RAW,
     ColumnarPartition,
     _encode_column,
-    columnar_available,
 )
 
 
@@ -165,7 +164,3 @@ class TestBufferRoundTrip:
         # encode time, exactly like a dict-keyed CC table would.
         with pytest.raises(TypeError):
             ColumnarPartition.from_rows([([], 0, 0)])
-
-
-def test_columnar_available_reflects_numpy():
-    assert columnar_available()  # numpy imported at module top
